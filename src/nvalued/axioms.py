@@ -81,7 +81,8 @@ def _run_trials(
 ) -> AxiomReport:
     """Run `trial_fn` repeatedly; it returns the deviation of one trial.
     Trials that raise TieWarning are resampled up to MAX_TIE_RETRIES, then
-    accepted as-is."""
+    accepted as-is.  A trial fails unless its deviation is at most `tol`,
+    so a non-finite deviation is a failure."""
     rng = random.Random(seed)
     failures = 0
     worst = 0.0
@@ -96,7 +97,7 @@ def _run_trials(
                 break
             resamples += 1
         worst = max(worst, dev)
-        if dev > tol:
+        if not dev <= tol:
             failures += 1
     return AxiomReport(
         space=space.label,

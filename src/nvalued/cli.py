@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
 from .axioms import AxiomReport, run_all
-from .coset import Base, CosetSpace, OrbitMultiset, orbit_product, project
+from .coset import Base, CosetSpace, Orbit, orbit_distance, orbit_product, project
 from .quaternion import Quaternion
 from .rotgroups import GroupSpec, build_group, element_order
 from .tolerances import EPS_POINT, TOL_AXIOM
@@ -41,6 +42,8 @@ def _point_arg(text: str) -> Quaternion:
         values = [float(p) for p in parts]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a numeric quadruple: {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"coordinates must be finite: {text!r}")
     return Quaternion(*values)
 
 
@@ -54,12 +57,39 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def _round12(x: float) -> float:
     return round(x, 12) + 0.0
 
 
 def _rep_list(q: Quaternion) -> list[float]:
     return [_round12(c) for c in q]
+
+
+def _rep_text(q: Quaternion) -> str:
+    return "(" + ", ".join(f"{c:+.12f}" for c in _rep_list(q)) + ")"
+
+
+def _grouped(orbits: list[Orbit]) -> list[tuple[Orbit, int]]:
+    """Distinct orbits with multiplicities, in deterministic order."""
+    groups: list[tuple[Orbit, int]] = []
+    for o in sorted(orbits, key=lambda o: _rep_list(o.rep)):
+        for i, (rep, count) in enumerate(groups):
+            if orbit_distance(rep, o) <= EPS_POINT:
+                groups[i] = (rep, count + 1)
+                break
+        else:
+            groups.append((o, 1))
+    return groups
 
 
 def _emit_json(payload: dict) -> None:
@@ -88,6 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--json", action="store_true", help="emit JSON")
 
+    def add_catalog_spec(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "spec",
+            type=_spec_arg,
+            nargs="?",
+            help="group label; omit with --all for the whole catalog",
+        )
+        add_common(p, with_spec=False)
+
     p_gen = sub.add_parser("generate", help="enumerate a group and its cover")
     add_common(p_gen)
 
@@ -97,19 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mul.add_argument("point_b", type=_point_arg, help="second point, as w,x,y,z")
 
     p_ver = sub.add_parser("verify", help="run the axiom verification suites")
-    p_ver.add_argument(
-        "spec",
-        type=_spec_arg,
-        nargs="?",
-        help="group label; omit with --all for the whole catalog",
-    )
-    p_ver.add_argument(
-        "--base",
-        choices=[b.value for b in Base],
-        default=Base.SP1.value,
-        help="which space the group acts on (default sp1; --all covers both)",
-    )
-    p_ver.add_argument("--json", action="store_true", help="emit JSON")
+    add_catalog_spec(p_ver)
     p_ver.add_argument("--all", action="store_true", help="whole catalog, both bases")
     p_ver.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     p_ver.add_argument(
@@ -126,25 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument(
         "--tol",
-        type=float,
+        type=_positive_float,
         default=TOL_AXIOM,
-        help=f"axiom tolerance (default {TOL_AXIOM})",
+        help=f"axiom tolerance, finite and > 0 (default {TOL_AXIOM})",
     )
 
     p_cls = sub.add_parser("classify", help="predict the shape of a quotient")
-    p_cls.add_argument(
-        "spec",
-        type=_spec_arg,
-        nargs="?",
-        help="group label; omit with --all for the whole catalog",
-    )
-    p_cls.add_argument(
-        "--base",
-        choices=[b.value for b in Base],
-        default=Base.SP1.value,
-        help="which space the group acts on (default sp1)",
-    )
-    p_cls.add_argument("--json", action="store_true", help="emit JSON")
+    add_catalog_spec(p_cls)
     p_cls.add_argument("--all", action="store_true", help="whole catalog")
     p_cls.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     p_cls.add_argument(
@@ -177,8 +192,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         print(f"{space_label}: n={len(group)} cover={len(group.cover)}")
         for i, (g, d) in enumerate(zip(group.elements, orders)):
-            rep = ", ".join(f"{c + 0.0:+.12f}" for c in g)
-            print(f"  [{i:3d}] ({rep})  order {d}")
+            print(f"  [{i:3d}] {_rep_text(g)}  order {d}")
     return 0
 
 
@@ -204,8 +218,8 @@ def cmd_mul(args: argparse.Namespace) -> int:
     space = CosetSpace(group, Base(args.base))
     a = project(space, _load_point(args.point_a, "point_a"))
     b = project(space, _load_point(args.point_b, "point_b"))
-    values = OrbitMultiset(orbit_product(a, b))
-    grouped = values.grouped(EPS_POINT)
+    values = orbit_product(a, b)
+    grouped = _grouped(values)
     if args.json:
         _emit_json(
             {
@@ -221,11 +235,10 @@ def cmd_mul(args: argparse.Namespace) -> int:
         )
     else:
         print(f"{space.label}: product of {len(values)} values")
-        print(f"  a = ({', '.join(f'{c + 0.0:+.12f}' for c in a.rep)})")
-        print(f"  b = ({', '.join(f'{c + 0.0:+.12f}' for c in b.rep)})")
+        print(f"  a = {_rep_text(a.rep)}")
+        print(f"  b = {_rep_text(b.rep)}")
         for o, m in grouped:
-            rep = ", ".join(f"{c + 0.0:+.12f}" for c in o.rep)
-            print(f"  ({rep})  x{m}")
+            print(f"  {_rep_text(o.rep)}  x{m}")
     return 0
 
 

@@ -18,21 +18,24 @@ one entry per group element:
 where * is the quaternion product of representatives and g_i(b) is the
 conjugation action.  Multiset equality up to tolerance is what the axiom
 and acceptance checks consume.
+
+Internally representatives are rows of (m, 4) arrays: canonicalization,
+the product and the orbit distance each run once over a whole batch.
+`Orbit` is the view of one row that the public functions take and return.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
-from .quaternion import Quaternion, conj_matrix, left_matrix
+from .quaternion import ONE, Quaternion, conj_matrix, left_matrix, random_unit
 from .rotgroups import RotationGroup
 from .tolerances import EPS_POINT, SEPARATION_FACTOR, TIE_FACTOR
 
@@ -59,22 +62,23 @@ class CosetSpace:
     """The quotient of a base space by a finite rotation group.
 
     Precomputes the action matrices once: `_act[i]` is conjugation by the
-    i-th group element (either lift conjugates identically), and `_canon`
-    is the family of maps whose images sweep out everything a point is
-    identified with, which canonicalization maximizes over.  On the
-    rotation base each point also carries the sign ambiguity of its lift,
-    so `_canon` there includes the negated maps.
+    i-th group element (either lift conjugates identically).  The canon
+    family is the set of maps whose images sweep out everything a point is
+    identified with, which canonicalization maximizes over; on the rotation
+    base each point also carries the sign ambiguity of its lift, so the
+    family there includes the negated maps.  Both families are kept as
+    (k*4, 4) stacks, row 4*i + r holding row r of the i-th map, so that a
+    sweep of m points is a single (m, 4) x (4, k*4) matmul.
     """
 
     def __init__(self, group: RotationGroup, base: Base):
         self.group = group
         self.base = base
         act = np.stack([conj_matrix(g) for g in group.elements])
-        if base is Base.SP1:
-            self._canon = act
-        else:
-            self._canon = np.concatenate([act, -act])
+        canon = act if base is Base.SP1 else np.concatenate([act, -act])
         self._act = act
+        self._act_stack = act.reshape(-1, 4)
+        self._canon_stack = canon.reshape(-1, 4)
 
     @property
     def n(self) -> int:
@@ -91,12 +95,12 @@ class CosetSpace:
     def act_images(self, points: np.ndarray) -> np.ndarray:
         """Images of each row of `points` under every acting map;
         shape (len(points), n, 4)."""
-        return np.einsum("kij,mj->mki", self._act, points)
+        return _sweep(points, self._act_stack)
 
     def canon_images(self, points: np.ndarray) -> np.ndarray:
         """Full orbit sweep used for canonicalization (includes lift signs
-        on the rotation quotient)."""
-        return np.einsum("kij,mj->mki", self._canon, points)
+        on the rotation quotient); shape (len(points), k, 4)."""
+        return _sweep(points, self._canon_stack)
 
     def representative_image(
         self, point: Quaternion, index: int, negate: bool = False
@@ -108,6 +112,10 @@ class CosetSpace:
         if negate:
             vec = -vec
         return Quaternion(*(float(c) for c in vec))
+
+
+def _sweep(points: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    return (points @ stack.T).reshape(len(points), len(stack) // 4, 4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,8 +130,13 @@ class Orbit:
         return f"Orbit[{self.space.label}]({c})"
 
 
-def _canonical_reps(space: CosetSpace, points: np.ndarray) -> list[Quaternion]:
-    """Canonical representative of the orbit of each row of `points`.
+def _orbits(space: CosetSpace, reps: np.ndarray) -> list[Orbit]:
+    return [Orbit(space, Quaternion(*row)) for row in reps.tolist()]
+
+
+def _canonical(space: CosetSpace, points: np.ndarray) -> np.ndarray:
+    """Canonical representative of the orbit of each row of `points`, as an
+    (m, 4) array.
 
     The representative is the coordinate-wise lexicographic maximum over
     the orbit sweep, decided with EPS_POINT slack so that drift cannot
@@ -131,54 +144,70 @@ def _canonical_reps(space: CosetSpace, points: np.ndarray) -> list[Quaternion]:
     a discarded image sits within TIE_FACTOR * EPS_POINT of the winner on
     the deciding coordinate without being the same orbit image.
     """
-    images = space.canon_images(np.asarray(points, dtype=float))
-    norms = np.sqrt((images * images).sum(axis=2, keepdims=True))
-    images = images / norms
+    images = space.canon_images(points)
+    images = images / np.sqrt((images * images).sum(axis=2, keepdims=True))
 
     m, k, _ = images.shape
     alive = np.ones((m, k), dtype=bool)
     for coord in range(4):
         col = np.where(alive, images[:, :, coord], -np.inf)
-        best = col.max(axis=1, keepdims=True)
-        alive &= col >= best - EPS_POINT
+        alive &= col >= col.max(axis=1, keepdims=True) - EPS_POINT
+        if alive.sum() == m:
+            # One image survives in every row, and later coordinates keep it.
+            return images[alive]
 
-    ties = 0
-    reps: list[Quaternion] = []
-    for row in range(m):
-        idx = np.flatnonzero(alive[row])
-        if len(idx) == 1:
-            winner = images[row, idx[0]]
-        else:
-            # Several images survived the slack filter; take the exact
-            # lexicographic max among them and check how close the rest are.
-            order = np.lexsort(images[row, idx].T[::-1])
-            winner = images[row, idx[order[-1]]]
-            others = images[row, idx[order[:-1]]]
-            gap = np.abs(others - winner[None, :]).max(axis=1)
-            near = (gap > EPS_POINT) & (gap <= TIE_FACTOR * EPS_POINT)
-            if near.any():
-                ties += 1
-        reps.append(Quaternion(*(float(c) for c in winner)))
+    # In some rows several images survived the slack filter; take the exact
+    # lexicographic max among them (the last one, if several are exactly
+    # equal) and check how close the rest are.
+    pick = alive.argmax(axis=1)
+    multi = np.flatnonzero(alive.sum(axis=1) > 1)
+    images_m, alive_m = images[multi], alive[multi]
+    best = alive_m.copy()
+    for coord in range(4):
+        col = np.where(best, images_m[:, :, coord], -np.inf)
+        best &= col == col.max(axis=1, keepdims=True)
+    pick[multi] = k - 1 - best[:, ::-1].argmax(axis=1)
+    winner = images[multi, pick[multi]]
+    gap = np.abs(images_m - winner[:, None, :]).max(axis=2)
+    near = alive_m & (gap > EPS_POINT) & (gap <= TIE_FACTOR * EPS_POINT)
+    ties = int(near.any(axis=1).sum())
     if ties:
         warnings.warn(
             f"{ties} point(s) canonicalized through a near-tie", TieWarning,
             stacklevel=2,
         )
-    return reps
+    return images[np.arange(m), pick]
+
+
+def _nearest(points: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Distance from each point (..., 4) to the nearest of its images
+    (..., k, 4); inf when there are no images."""
+    diffs = images - points[..., None, :]
+    return np.sqrt((diffs * diffs).sum(axis=-1)).min(axis=-1, initial=np.inf)
+
+
+def _product(space: CosetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Canonical representatives of a[i] * g(b[i]) for every group element
+    g, as n consecutive rows per i.  `a` and `b` are (m, 4) arrays, or one
+    of them (1, 4)."""
+    values = space.act_images(b) @ left_matrix(a).transpose(0, 2, 1)
+    return _canonical(space, values.reshape(-1, 4))
 
 
 def project(space: CosetSpace, w: Quaternion) -> Orbit:
-    """The orbit of a unit quaternion: the projection map onto the quotient."""
-    (rep,) = _canonical_reps(space, np.array([tuple(w.normalized())]))
-    return Orbit(space, rep)
+    """The orbit of a unit quaternion: the projection map onto the quotient.
+    Raises ValueError for a non-finite quaternion."""
+    if not all(map(math.isfinite, w)):
+        raise ValueError(f"cannot project a non-finite quaternion {w}")
+    (x,) = _orbits(space, _canonical(space, np.array([w.normalized()])))
+    return x
 
 
 def orbit_distance(x: Orbit, y: Orbit) -> float:
     """Distance between orbits: min over the orbit of y of the distance to
     the representative of x."""
-    images = x.space.canon_images(np.array([tuple(y.rep)]))[0]
-    diffs = images - np.array(tuple(x.rep))[None, :]
-    return float(np.sqrt((diffs * diffs).sum(axis=1)).min())
+    images = x.space.canon_images(np.array([y.rep]))[0]
+    return float(_nearest(np.array(x.rep), images))
 
 
 def product_from_representatives(
@@ -187,9 +216,7 @@ def product_from_representatives(
     """Product multiset computed from explicit representatives: the classes
     of a * g_i(b) over the group.  Agreement across every choice of
     representatives is exactly the well-definedness of the product."""
-    images = space.act_images(np.array([tuple(b)]))[0]
-    products = images @ left_matrix(a).T
-    return [Orbit(space, rep) for rep in _canonical_reps(space, products)]
+    return _orbits(space, _product(space, np.array([a]), np.array([b])))
 
 
 def orbit_product(x: Orbit, y: Orbit) -> list[Orbit]:
@@ -200,18 +227,16 @@ def orbit_product(x: Orbit, y: Orbit) -> list[Orbit]:
 
 def orbit_product_left(x: Orbit, y: Orbit, z: Orbit) -> list[Orbit]:
     """All n^2 values of (x y) z, concatenated over the n values of x y."""
-    out: list[Orbit] = []
-    for v in orbit_product(x, y):
-        out.extend(orbit_product(v, z))
-    return out
+    space = x.space
+    xy = _product(space, np.array([x.rep]), np.array([y.rep]))
+    return _orbits(space, _product(space, xy, np.array([z.rep])))
 
 
 def orbit_product_right(x: Orbit, y: Orbit, z: Orbit) -> list[Orbit]:
-    """All n^2 values of x (y z)."""
-    out: list[Orbit] = []
-    for v in orbit_product(y, z):
-        out.extend(orbit_product(x, v))
-    return out
+    """All n^2 values of x (y z), concatenated over the n values of y z."""
+    space = x.space
+    yz = _product(space, np.array([y.rep]), np.array([z.rep]))
+    return _orbits(space, _product(space, np.array([x.rep]), yz))
 
 
 def orbit_inverse(x: Orbit) -> Orbit:
@@ -222,13 +247,13 @@ def orbit_inverse(x: Orbit) -> Orbit:
 
 def identity_orbit(space: CosetSpace) -> Orbit:
     """The orbit of 1, the two-sided identity of the product."""
-    from .quaternion import ONE
-
     return project(space, ONE)
 
 
-def _rep_array(orbits: list[Orbit]) -> np.ndarray:
-    return np.array([tuple(o.rep) for o in orbits])
+def _rounded_order(reps: np.ndarray) -> np.ndarray:
+    # Rows sorted lexicographically on 12-decimal rounding, stable, so that
+    # drift below the rounding does not reorder canonical representatives.
+    return np.lexsort(np.round(reps, 12).T[::-1])
 
 
 def match_multisets(
@@ -238,7 +263,7 @@ def match_multisets(
 
     Returns (matched, deviation).  When matched, deviation is the largest
     distance inside any matched pair; when not, it is the best bound the
-    failed strategy produced (always finite).
+    failed strategy produced (finite unless a representative is not).
 
     Strategy: sort both by the rounded representative and pair positionally
     (the common case, since representatives are canonical); verify each pair
@@ -252,42 +277,26 @@ def match_multisets(
     if not a:
         return True, 0.0
 
-    ra, rb = _rep_array(a), _rep_array(b)
+    ra = np.array([o.rep for o in a])
+    rb = np.array([o.rep for o in b])
 
-    gap = 0.0
-    for coord in range(4):
-        ca = np.sort(ra[:, coord])
-        cb = np.sort(rb[:, coord])
-        gap = max(gap, float(np.abs(ca - cb).max()))
-    if gap > 2.0 * tol:
+    gap = float(np.abs(np.sort(ra, axis=0) - np.sort(rb, axis=0)).max())
+    if not gap <= 2.0 * tol:
         # Sound rejection: a genuine matching within tol moves every
         # coordinate by at most tol, so sorted columns differ by <= 2 tol.
+        # A NaN representative is rejected here too.
         return False, gap
 
-    def key(o: Orbit):
-        return tuple(round(c, 12) + 0.0 for c in o.rep)
-
-    sa = sorted(a, key=key)
-    sb = sorted(b, key=key)
-    worst = 0.0
-    matched = True
-    for oa, ob in zip(sa, sb):
-        d = orbit_distance(oa, ob)
-        worst = max(worst, d)
-        if d > tol:
-            matched = False
-            break
-    if matched:
-        return True, worst
+    space = a[0].space
+    sa, sb = ra[_rounded_order(ra)], rb[_rounded_order(rb)]
+    pair = _nearest(sa, space.canon_images(sb))
+    if not (pair > tol).any():
+        return True, float(pair.max())
 
     # Positional pairing failed; find the optimal matching.  Distances are
     # orbit distances, i.e. min over canon images of either side.
-    space = a[0].space
-    images_b = space.canon_images(rb)  # (m, k, 4)
-    m = len(a)
-    dm = np.empty((m, m))
-    for j in range(m):
-        dm[:, j] = cdist(ra, images_b[j]).min(axis=1)
+    images_b = space.canon_images(rb)
+    dm = np.stack([_nearest(ra, images) for images in images_b], axis=1)
     rows, cols = linear_sum_assignment(dm)
     dev = float(dm[rows, cols].max())
     return dev <= tol, dev
@@ -297,49 +306,21 @@ def multiset_equal(a: list[Orbit], b: list[Orbit], tol: float) -> bool:
     return match_multisets(a, b, tol)[0]
 
 
-class OrbitMultiset:
-    """A product value: a list of orbits with multiset semantics and a
-    helper to group coincident entries for display."""
-
-    def __init__(self, orbits: Iterable[Orbit]):
-        self.orbits = list(orbits)
-
-    def __len__(self) -> int:
-        return len(self.orbits)
-
-    def __iter__(self) -> Iterator[Orbit]:
-        return iter(self.orbits)
-
-    def grouped(self, tol: float = EPS_POINT) -> list[tuple[Orbit, int]]:
-        """Distinct orbits with multiplicities, in deterministic order."""
-        groups: list[tuple[Orbit, int]] = []
-        for o in sorted(
-            self.orbits, key=lambda o: tuple(round(c, 12) + 0.0 for c in o.rep)
-        ):
-            for i, (rep, count) in enumerate(groups):
-                if orbit_distance(rep, o) <= tol:
-                    groups[i] = (rep, count + 1)
-                    break
-            else:
-                groups.append((o, 1))
-        return groups
-
-
 def random_point(
     space: CosetSpace, rng: random.Random, max_tries: int = 64
 ) -> Orbit:
     """A random orbit whose sweep images are pairwise well separated, so
     canonicalization and matching are stable.  Rejection-samples until the
     minimum pairwise distance exceeds SEPARATION_FACTOR * EPS_POINT."""
-    from .quaternion import random_unit
-
     floor = SEPARATION_FACTOR * EPS_POINT
     for _ in range(max_tries):
         q = random_unit(rng)
-        images = space.canon_images(np.array([tuple(q)]))[0]
-        d = cdist(images, images)
-        np.fill_diagonal(d, np.inf)
-        if float(d.min()) > floor:
+        images = space.canon_images(np.array([q]))[0]
+        # The sweep maps form a group of isometries, so the images are
+        # pairwise separated exactly when q is far from its image under
+        # every map other than the identity.
+        others = np.delete(images, space.group.identity_index, axis=0)
+        if float(_nearest(np.array(q), others)) > floor:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", TieWarning)
                 try:

@@ -174,17 +174,19 @@ def random_unit(rng) -> Quaternion:
             return q.normalized()
 
 
-def left_matrix(q: Quaternion) -> np.ndarray:
-    """4x4 matrix of p -> q*p acting on coefficient vectors (w, x, y, z)."""
-    w, x, y, z = q
-    return np.array(
-        [
-            [w, -x, -y, -z],
-            [x, w, -z, y],
-            [y, z, w, -x],
-            [z, -y, x, w],
-        ]
-    )
+# left_matrix(q)[r, c] == _LEFT_SIGN[r, c] * q[_LEFT_INDEX[r, c]]
+_LEFT_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_LEFT_SIGN = np.array(
+    [[1, -1, -1, -1], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 1, 1]], dtype=float
+)
+
+
+def left_matrix(q) -> np.ndarray:
+    """4x4 matrix of p -> q*p acting on coefficient vectors (w, x, y, z).
+
+    Also takes an (m, 4) array of quaternions and returns the (m, 4, 4)
+    stack of their matrices."""
+    return np.asarray(q, dtype=float)[..., _LEFT_INDEX] * _LEFT_SIGN
 
 
 def right_matrix(q: Quaternion) -> np.ndarray:

@@ -239,12 +239,6 @@ def build_group(spec: GroupSpec) -> RotationGroup:
     return RotationGroup(spec, elements, cover, identity_index)
 
 
-def binary_cover(group: RotationGroup) -> list[Quaternion]:
-    """Both unit-quaternion lifts of every element; closed under product
-    and negation."""
-    return list(group.cover)
-
-
 def element_order(g: Quaternion, group: RotationGroup) -> int:
     """Least d >= 1 with g^d the identity rotation; g must lie in the group."""
     i = group.index_of(g)
@@ -283,7 +277,7 @@ def closure_defect(group: RotationGroup, chunk: int = 1024) -> float:
     """Max distance from any pairwise cover product to the nearest cover
     element.  Zero up to drift for a genuine group."""
     cover = np.array([tuple(q) for q in group.cover])
-    mats = np.stack([left_matrix(q) for q in group.cover])
+    mats = left_matrix(cover)
     products = np.einsum("aij,bj->abi", mats, cover).reshape(-1, 4)
     worst = 0.0
     for start in range(0, len(products), chunk):

@@ -1,9 +1,12 @@
 """The randomized axiom suites: green on genuine groups, red on corrupted
 ones, reproducible under a fixed seed."""
 
+import math
+
 import pytest
 
 from nvalued.axioms import (
+    _run_trials,
     check_associativity,
     check_identity,
     check_inverse,
@@ -31,6 +34,14 @@ def test_run_all_passes(label, base):
         assert r.passed, r
         assert r.failures == 0
         assert r.max_deviation < 1e-8
+
+
+@pytest.mark.parametrize("dev", [math.nan, math.inf])
+def test_non_finite_deviation_is_a_failure(dev):
+    space = make_space("C2", "sp1")
+    report = _run_trials(space, "identity", 3, 0, 1e-6, lambda rng: dev)
+    assert report.failures == 3
+    assert not report.passed
 
 
 def test_default_triples_shrinks_for_large_groups():

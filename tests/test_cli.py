@@ -95,6 +95,24 @@ def test_mul_rejects_malformed_point(capsys):
     assert "4 comma-separated" in err
 
 
+@pytest.mark.parametrize("point", ["nan,0,0,0", "1,inf,0,0"])
+def test_mul_rejects_non_finite_point(capsys, point):
+    code, _, err = run_cli(["mul", "C2", point, "1,0,0,0"], capsys)
+    assert code == 2
+    assert "finite" in err
+
+
+def test_mul_text_has_no_negative_zero(capsys):
+    code, out, _ = run_cli(
+        ["mul", "D2", "--base", "sp1", "0.5,0.5,0.5,0.5",
+         "0.7071067811865476,0.7071067811865476,0,0"],
+        capsys,
+    )
+    assert code == 0
+    assert "+0.000000000000" in out
+    assert "-0.000000000000" not in out
+
+
 def test_bad_spec_is_usage_error(capsys):
     code, _, err = run_cli(["generate", "Q7"], capsys)
     assert code == 2
@@ -140,6 +158,14 @@ def test_verify_requires_spec_or_all(capsys):
 def test_verify_rejects_bad_counts(capsys):
     code, _, err = run_cli(["verify", "C2", "--samples", "0"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_verify_rejects_bad_tolerance(capsys, tol):
+    code, out, err = run_cli(["verify", "C2", f"--tol={tol}"], capsys)
+    assert code == 2
+    assert "--tol" in err
+    assert out == ""
 
 
 def test_classify_c5_so3(capsys):

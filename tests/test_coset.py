@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from nvalued import coset
+from nvalued.cli import _grouped
 from nvalued.coset import (
     Base,
     CosetSpace,
-    OrbitMultiset,
+    Orbit,
     SizeMismatch,
+    _canonical,
     identity_orbit,
     match_multisets,
     multiset_equal,
@@ -28,7 +31,9 @@ from nvalued.coset import (
     project,
     random_point,
 )
-from nvalued.quaternion import ONE, QI, QJ, QK, Quaternion, conj_action, qdist
+from nvalued.quaternion import (
+    ONE, QI, QJ, QK, Quaternion, conj_action, qdist, random_unit,
+)
 from nvalued.tolerances import EPS_POINT, SEPARATION_FACTOR
 
 from .conftest import make_space, unit_quaternions
@@ -49,7 +54,36 @@ def test_space_labels_and_sizes():
     assert make_space("T", "so3").n == 12
 
 
+def reference_canonical(space, point):
+    """Per-point canonicalization: the EPS_POINT-slack filter, then the
+    exact lexicographic maximum of the images that survive it."""
+    images = space.canon_images(np.array([point]))[0]
+    images = images / np.linalg.norm(images, axis=1, keepdims=True)
+    alive = np.ones(len(images), dtype=bool)
+    for coord in range(4):
+        alive &= images[:, coord] >= images[alive, coord].max() - EPS_POINT
+    survivors = images[alive]
+    return survivors[np.lexsort(survivors.T[::-1])[-1]]
+
+
+def reps(orbits):
+    return np.array([o.rep for o in orbits])
+
+
 class TestProject:
+    @pytest.mark.parametrize(
+        "label, base", [("C3", "sp1"), ("D2", "so3"), ("T", "so3"), ("O", "sp1")]
+    )
+    def test_batch_matches_per_point_reference(self, label, base, rng):
+        # generic points plus singular ones, where several images survive
+        # the slack filter and the exact tie-break decides
+        s = make_space(label, base)
+        special = [ONE, -ONE, QI, QJ, QK, Quaternion(0.5, 0.5, 0.5, 0.5)]
+        points = np.array(special + [random_unit(rng) for _ in range(40)])
+        want = np.array([reference_canonical(s, p) for p in points])
+        # a batched sweep may round differently from a one-row sweep
+        assert np.abs(_canonical(s, points) - want).max() <= 1e-15
+
     def test_identity_orbit_rep_is_one(self):
         for label, base in SMALL_SPACES:
             e = identity_orbit(make_space(label, base))
@@ -70,6 +104,11 @@ class TestProject:
         s = make_space("C3", "so3")
         q = Quaternion(0.5, 0.1, -0.3, 0.2).normalized()
         assert orbit_distance(project(s, q), project(s, -q)) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            project(make_space("C2", "sp1"), Quaternion(bad, 0.0, 0.0, 0.0))
 
     def test_idempotent(self, rng):
         for label, base in SMALL_SPACES:
@@ -154,6 +193,19 @@ class TestProduct:
         assert sum(1 for v in left if orbit_distance(v, e) < 1e-9) == 2
         assert sum(1 for v in left if orbit_distance(v, m) < 1e-9) == 2
 
+    @pytest.mark.parametrize(
+        "label, base", [("C3", "sp1"), ("D2", "so3"), ("T", "so3"), ("I", "sp1")]
+    )
+    def test_batched_triple_products_match_per_value_products(
+        self, label, base, rng
+    ):
+        s = make_space(label, base)
+        x, y, z = (random_point(s, rng) for _ in range(3))
+        left = [v for xy in orbit_product(x, y) for v in orbit_product(xy, z)]
+        right = [v for yz in orbit_product(y, z) for v in orbit_product(x, yz)]
+        assert np.abs(reps(orbit_product_left(x, y, z)) - reps(left)).max() <= 1e-14
+        assert np.abs(reps(orbit_product_right(x, y, z)) - reps(right)).max() <= 1e-14
+
     def test_so3_product_same_from_either_lift(self, rng):
         s = make_space("D2", "so3")
         x, y = random_point(s, rng), random_point(s, rng)
@@ -221,12 +273,37 @@ class TestMultisets:
         )
         assert ok and dev < 1e-10
 
+    def test_non_finite_values_never_match(self, rng):
+        s = make_space("C3", "sp1")
+        x, y = random_point(s, rng), random_point(s, rng)
+        bad = product_from_representatives(s, Quaternion(np.nan, 0.0, 0.0, 0.0), y.rep)
+        ok, dev = match_multisets(bad, orbit_product(x, y), 1e-6)
+        assert not ok and np.isnan(dev)
+
+    def test_assignment_fallback_when_positional_pairing_fails(self, monkeypatch):
+        # Two orbits whose first coordinates differ by 1e-10; drift of 2e-10
+        # on one of them swaps their sorted order, so positional pairing
+        # compares different orbits and only the assignment finds the match.
+        s = make_space("C3", "sp1")
+        p = Quaternion(0.5, 0.5, 0.5, 0.5)
+        q = Quaternion(0.5 + 1e-10, 0.5, -0.5, -0.5)
+        drifted = Quaternion(0.5 + 2e-10, 0.5, 0.5, 0.5)
+        calls = []
+        assign = coset.linear_sum_assignment
+        monkeypatch.setattr(
+            coset, "linear_sum_assignment", lambda m: calls.append(m) or assign(m)
+        )
+        ok, dev = match_multisets(
+            [Orbit(s, p), Orbit(s, q)], [Orbit(s, q), Orbit(s, drifted)], 1e-6
+        )
+        assert len(calls) == 1
+        assert ok and dev == pytest.approx(2e-10, rel=1e-3)
+
     def test_grouped_multiplicities(self, rng):
         s = make_space("C2", "sp1")
         e = identity_orbit(s)
         x = random_point(s, rng)
-        bag = OrbitMultiset(orbit_product(e, x))
-        grouped = bag.grouped()
+        grouped = _grouped(orbit_product(e, x))
         assert len(grouped) == 1
         assert grouped[0][1] == 2
 

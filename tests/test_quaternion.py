@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from nvalued.quaternion import (
     ONE,
@@ -207,6 +207,14 @@ def test_matrices_reproduce_products(p, q):
     v = np.array(tuple(q))
     assert np.allclose(left_matrix(p) @ v, np.array(tuple(qmul(p, q))), atol=1e-12)
     assert np.allclose(right_matrix(p) @ v, np.array(tuple(qmul(q, p))), atol=1e-12)
+
+
+@given(st.lists(unit_quaternions(), min_size=1, max_size=6))
+def test_left_matrix_stacks_per_row_matrices(qs):
+    stack = left_matrix(np.array(qs))
+    assert stack.shape == (len(qs), 4, 4)
+    for q, m in zip(qs, stack):
+        assert np.array_equal(m, left_matrix(q))
 
 
 @given(unit_quaternions(), unit_quaternions())

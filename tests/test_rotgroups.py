@@ -9,7 +9,6 @@ from nvalued.rotgroups import (
     ClosureFailure,
     GroupSpec,
     NotInGroup,
-    binary_cover,
     build_group,
     catalog,
     closure_defect,
@@ -144,7 +143,7 @@ def test_half_turn_iff_even_order(label, order):
 
 def test_binary_cover_closed_under_negation():
     g = build_group(GroupSpec.parse("D3"))
-    cover = binary_cover(g)
+    cover = g.cover
     for q in cover:
         assert any(qdist(-q, c) < 1e-12 for c in cover)
 
