@@ -4,23 +4,19 @@ the identity appears among the products of a point with its inverse, and
 the two ways of associating a triple product give the same multiset.
 
 Each check runs independent trials on freshly sampled points and reports
-failure counts plus the worst deviation seen.  A trial that hits a
-canonicalization near-tie is resampled a bounded number of times, since
-ties say the sampled point sits too close to the singular set, not that
-the algebra is wrong.
+failure counts plus the worst deviation seen.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .coset import (
+    Base,
     CosetSpace,
-    TieWarning,
     identity_orbit,
     match_multisets,
     orbit_distance,
@@ -35,14 +31,13 @@ from .quaternion import Quaternion, canonical_sign, qmul
 from .rotgroups import RotationGroup
 from .tolerances import TOL_AXIOM
 
-MAX_TIE_RETRIES = 8
-
 AXIOM_NAMES = ("identity", "inverse", "associativity", "well_defined")
 
 
 @dataclass
 class AxiomReport:
-    """Outcome of one axiom check on one space."""
+    """Outcome of one axiom check on one space.  `tie_resamples` is always
+    0; it is kept for the JSON schema."""
 
     space: str
     axiom: str
@@ -80,22 +75,13 @@ def _run_trials(
     trial_fn: Callable[[random.Random], float],
 ) -> AxiomReport:
     """Run `trial_fn` repeatedly; it returns the deviation of one trial.
-    Trials that raise TieWarning are resampled up to MAX_TIE_RETRIES, then
-    accepted as-is.  A trial fails unless its deviation is at most `tol`,
-    so a non-finite deviation is a failure."""
+    A trial fails unless its deviation is at most `tol`, so a non-finite
+    deviation is a failure."""
     rng = random.Random(seed)
     failures = 0
     worst = 0.0
-    resamples = 0
     for _ in range(trials):
-        for attempt in range(MAX_TIE_RETRIES + 1):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", TieWarning)
-                dev = trial_fn(rng)
-            tied = any(issubclass(w.category, TieWarning) for w in caught)
-            if not tied or attempt == MAX_TIE_RETRIES:
-                break
-            resamples += 1
+        dev = trial_fn(rng)
         worst = max(worst, dev)
         if not dev <= tol:
             failures += 1
@@ -105,7 +91,7 @@ def _run_trials(
         trials=trials,
         failures=failures,
         max_deviation=worst,
-        tie_resamples=resamples,
+        tie_resamples=0,
         seed=seed,
         tolerance=tol,
     )
@@ -198,8 +184,6 @@ def check_well_defined(
 
 def _maybe_negate(space: CosetSpace, rng: random.Random) -> bool:
     # Lift signs are representative choices only on the rotation base.
-    from .coset import Base
-
     return space.base is Base.SO3 and rng.random() < 0.5
 
 

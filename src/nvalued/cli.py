@@ -18,7 +18,7 @@ from typing import Optional
 from .axioms import AxiomReport, run_all
 from .coset import Base, CosetSpace, Orbit, orbit_distance, orbit_product, project
 from .quaternion import Quaternion
-from .rotgroups import GroupSpec, build_group, element_order
+from .rotgroups import GroupSpec, build_group, catalog, element_order
 from .tolerances import EPS_POINT, TOL_AXIOM
 from .topology import ConsistencyFailure, IdentityViolation, classify
 
@@ -260,8 +260,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("error: give exactly one of a group spec or --all", file=sys.stderr)
         return 2
 
-    from .rotgroups import catalog
-
     if args.all:
         targets = [(s, b) for s in catalog() for b in (Base.SP1, Base.SO3)]
     else:
@@ -299,8 +297,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.all == (args.spec is not None):
         print("error: give exactly one of a group spec or --all", file=sys.stderr)
         return 2
-
-    from .rotgroups import catalog
 
     specs = catalog() if args.all else [args.spec]
     base = Base(args.base)

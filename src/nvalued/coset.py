@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -37,7 +36,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .quaternion import ONE, Quaternion, conj_matrix, left_matrix, random_unit
 from .rotgroups import RotationGroup
-from .tolerances import EPS_POINT, SEPARATION_FACTOR, TIE_FACTOR
+from .tolerances import EPS_POINT, SEPARATION_FACTOR
 
 
 class Base(Enum):
@@ -47,11 +46,6 @@ class Base(Enum):
 
     SP1 = "sp1"
     SO3 = "so3"
-
-
-class TieWarning(UserWarning):
-    """Canonicalization had to break a near-tie; the result may be unstable
-    for this particular point."""
 
 
 class SizeMismatch(ValueError):
@@ -74,7 +68,7 @@ class CosetSpace:
     def __init__(self, group: RotationGroup, base: Base):
         self.group = group
         self.base = base
-        act = np.stack([conj_matrix(g) for g in group.elements])
+        act = conj_matrix(group.element_rows)
         canon = act if base is Base.SP1 else np.concatenate([act, -act])
         self._act = act
         self._act_stack = act.reshape(-1, 4)
@@ -140,9 +134,10 @@ def _canonical(space: CosetSpace, points: np.ndarray) -> np.ndarray:
 
     The representative is the coordinate-wise lexicographic maximum over
     the orbit sweep, decided with EPS_POINT slack so that drift cannot
-    reorder two images that agree up to noise.  Warns with TieWarning when
-    a discarded image sits within TIE_FACTOR * EPS_POINT of the winner on
-    the deciding coordinate without being the same orbit image.
+    reorder two images that agree up to noise.  Near the singular set the
+    winner can jump between two images that are close but not equal; they
+    are points of the same orbit, so orbit distance and multiset matching
+    absorb the jump.
     """
     images = space.canon_images(points)
     images = images / np.sqrt((images * images).sum(axis=2, keepdims=True))
@@ -158,24 +153,14 @@ def _canonical(space: CosetSpace, points: np.ndarray) -> np.ndarray:
 
     # In some rows several images survived the slack filter; take the exact
     # lexicographic max among them (the last one, if several are exactly
-    # equal) and check how close the rest are.
+    # equal).
     pick = alive.argmax(axis=1)
     multi = np.flatnonzero(alive.sum(axis=1) > 1)
-    images_m, alive_m = images[multi], alive[multi]
-    best = alive_m.copy()
+    images_m, best = images[multi], alive[multi]
     for coord in range(4):
         col = np.where(best, images_m[:, :, coord], -np.inf)
         best &= col == col.max(axis=1, keepdims=True)
     pick[multi] = k - 1 - best[:, ::-1].argmax(axis=1)
-    winner = images[multi, pick[multi]]
-    gap = np.abs(images_m - winner[:, None, :]).max(axis=2)
-    near = alive_m & (gap > EPS_POINT) & (gap <= TIE_FACTOR * EPS_POINT)
-    ties = int(near.any(axis=1).sum())
-    if ties:
-        warnings.warn(
-            f"{ties} point(s) canonicalized through a near-tie", TieWarning,
-            stacklevel=2,
-        )
     return images[np.arange(m), pick]
 
 
@@ -321,12 +306,7 @@ def random_point(
         # every map other than the identity.
         others = np.delete(images, space.group.identity_index, axis=0)
         if float(_nearest(np.array(q), others)) > floor:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", TieWarning)
-                try:
-                    return project(space, q)
-                except TieWarning:
-                    continue
+            return project(space, q)
     raise RuntimeError(
         f"could not sample a well-separated point of {space.label} "
         f"in {max_tries} tries"

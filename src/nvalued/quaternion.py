@@ -129,16 +129,27 @@ def conj_action(q: Quaternion, p: Quaternion) -> Quaternion:
     return qmul(qmul(q, p), q.conjugate())
 
 
-def canonical_sign(q: Quaternion) -> Quaternion:
+def canonical_sign(q):
     """Fold q and -q onto one representative of the rotation they cover.
 
     The first coordinate of magnitude above EPS_POINT is made positive;
-    this is the lexicographically larger of the two lifts.
+    this is the lexicographically larger of the two lifts.  Also takes an
+    (m, 4) array of quaternions and folds every row.
     """
+    if isinstance(q, np.ndarray):
+        big = np.abs(q) > EPS_POINT
+        lead = q[np.arange(len(q)), big.argmax(axis=1)]
+        return np.where((big.any(axis=1) & (lead < 0))[:, None], -q, q)
     for c in q:
         if abs(c) > EPS_POINT:
             return q if c > 0 else -q
     return q
+
+
+def rounded_key(v) -> tuple[float, ...]:
+    """Sort key for points and quaternions: coordinates rounded to 12
+    decimals, so that drift below the rounding cannot reorder them."""
+    return tuple(round(c, 12) + 0.0 for c in v)
 
 
 def rotation_of(q: Quaternion) -> tuple[Optional[Vec3], float]:
@@ -174,34 +185,32 @@ def random_unit(rng) -> Quaternion:
             return q.normalized()
 
 
-# left_matrix(q)[r, c] == _LEFT_SIGN[r, c] * q[_LEFT_INDEX[r, c]]
-_LEFT_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+# left_matrix(q)[r, c] == _LEFT_SIGN[r, c] * q[_INDEX[r, c]], and the
+# same for right_matrix with _RIGHT_SIGN.
+_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
 _LEFT_SIGN = np.array(
     [[1, -1, -1, -1], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 1, 1]], dtype=float
 )
+_RIGHT_SIGN = np.array(
+    [[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]], dtype=float
+)
+_CONJ_SIGN = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def left_matrix(q) -> np.ndarray:
     """4x4 matrix of p -> q*p acting on coefficient vectors (w, x, y, z).
 
     Also takes an (m, 4) array of quaternions and returns the (m, 4, 4)
-    stack of their matrices."""
-    return np.asarray(q, dtype=float)[..., _LEFT_INDEX] * _LEFT_SIGN
+    stack of their matrices; so do right_matrix and conj_matrix."""
+    return np.asarray(q, dtype=float)[..., _INDEX] * _LEFT_SIGN
 
 
-def right_matrix(q: Quaternion) -> np.ndarray:
+def right_matrix(q) -> np.ndarray:
     """4x4 matrix of p -> p*q acting on coefficient vectors (w, x, y, z)."""
-    w, x, y, z = q
-    return np.array(
-        [
-            [w, -x, -y, -z],
-            [x, w, z, -y],
-            [y, -z, w, x],
-            [z, y, -x, w],
-        ]
-    )
+    return np.asarray(q, dtype=float)[..., _INDEX] * _RIGHT_SIGN
 
 
-def conj_matrix(q: Quaternion) -> np.ndarray:
+def conj_matrix(q) -> np.ndarray:
     """4x4 matrix of the conjugation p -> q p q* for unit q."""
-    return left_matrix(q) @ right_matrix(q.conjugate())
+    q = np.asarray(q, dtype=float)
+    return left_matrix(q) @ right_matrix(q * _CONJ_SIGN)

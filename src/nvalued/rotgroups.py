@@ -4,8 +4,11 @@ quaternions.
 
 Each rotation is stored as its canonical-sign lift (the lexicographically
 larger of the two unit quaternions covering it); the cover holds both lifts.
-Enumeration is breadth-first closure over fixed generators with
-tolerance-based deduplication, aborting loudly if the closure overshoots.
+Enumeration is breadth-first closure over fixed generators, aborting loudly
+if the closure overshoots.  Group elements here and sphere points in
+`topology` are (m, 4) or (m, 3) arrays of coordinates, deduplicated by one
+rule: `distinct_rows` keeps the rows that are not `same_point` as an
+earlier one.
 """
 
 from __future__ import annotations
@@ -26,10 +29,16 @@ from .quaternion import (
     left_matrix,
     qdist,
     qmul,
+    rounded_key,
 )
 from .tolerances import EPS_POINT
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+# Largest group order accepted.  Closure, sign folding and the singular
+# orbits compare (order x order) arrays of points: building C1000 or D500
+# and their singular orbits takes under 1 s and 150 MB on a 2-core host.
+MAX_ORDER = 1000
 
 _SPEC_RE = re.compile(r"^([CD])([0-9]+)$|^([TOI])$")
 
@@ -59,6 +68,11 @@ class GroupSpec:
                 raise ValueError(f"family {self.family!r} takes no parameter")
         else:
             raise ValueError(f"unknown family {self.family!r}")
+        if self.order > MAX_ORDER:
+            raise ValueError(
+                f"{self.label} has order {self.order}; the largest supported "
+                f"order is {MAX_ORDER}"
+            )
 
     @classmethod
     def parse(cls, text: str) -> "GroupSpec":
@@ -121,47 +135,55 @@ def _generators(spec: GroupSpec) -> list[Quaternion]:
     return tetra + [Quaternion(GOLDEN / 2.0, 1.0 / (2.0 * GOLDEN), 0.5, 0.0)]
 
 
-def _mulclose(gens: list[Quaternion], limit: int) -> list[Quaternion]:
-    """Breadth-first closure under the quaternion product with EPS_POINT
-    deduplication; raises ClosureFailure past `limit` elements."""
+def same_point(a: np.ndarray, b: np.ndarray, tol: float = EPS_POINT) -> np.ndarray:
+    """Whether rows of `a` and `b`, broadcast against each other, lie
+    within Euclidean distance `tol`: the one test of "the same point" for
+    group elements and sphere points."""
+    d2 = sum((a[..., c] - b[..., c]) ** 2 for c in range(a.shape[-1]))
+    return np.sqrt(d2) <= tol
 
-    def find(q: Quaternion) -> bool:
-        return any(qdist(q, e) <= EPS_POINT for e in elements)
 
-    elements: list[Quaternion] = []
-    frontier: list[Quaternion] = []
-    for g in gens:
-        if not find(g):
-            elements.append(g)
-            frontier.append(g)
-    while frontier:
-        fresh: list[Quaternion] = []
-        for a in gens:
-            for b in frontier:
-                c = qmul(a, b).normalized()
-                if not find(c):
-                    if len(elements) >= limit:
-                        raise ClosureFailure(
-                            f"closure exceeded {limit} elements; generators do not "
-                            "close up at this tolerance"
-                        )
-                    elements.append(c)
-                    fresh.append(c)
-        frontier = fresh
+def distinct_rows(rows: np.ndarray, seen: Optional[np.ndarray] = None) -> np.ndarray:
+    """The rows that are not the same point as any earlier row or any row
+    of `seen`, in order."""
+    dup = np.tril(same_point(rows[:, None], rows[None]), -1).any(axis=1)
+    if seen is not None:
+        dup |= same_point(rows[:, None], seen[None]).any(axis=1)
+    return rows[~dup]
+
+
+def _mulclose(gens: list[Quaternion], limit: int) -> np.ndarray:
+    """Breadth-first closure under the quaternion product, as an (m, 4)
+    array in order of discovery; raises ClosureFailure past `limit`
+    elements.  Each round multiplies every generator by the whole frontier,
+    with qmul's formula so that the elements match qmul products exactly."""
+    gens = np.array(gens, dtype=float)
+    elements = frontier = distinct_rows(gens)
+    while len(frontier):
+        aw, ax, ay, az = gens.T[:, :, None]
+        bw, bx, by, bz = frontier.T[:, None, :]
+        w = aw * bw - ax * bx - ay * by - az * bz
+        x = aw * bx + ax * bw + ay * bz - az * by
+        y = aw * by - ax * bz + ay * bw + az * bx
+        z = aw * bz + ax * by - ay * bx + az * bw
+        norm = np.sqrt(w * w + x * x + y * y + z * z)
+        products = np.stack([w, x, y, z], axis=-1) / norm[..., None]
+        frontier = distinct_rows(products.reshape(-1, 4), seen=elements)
+        if len(elements) + len(frontier) > limit:
+            raise ClosureFailure(
+                f"closure exceeded {limit} elements; generators do not "
+                "close up at this tolerance"
+            )
+        elements = np.concatenate([elements, frontier])
     return elements
-
-
-def _sort_key(q: Quaternion) -> tuple[float, float, float, float]:
-    # Rounding to 12 decimals gives a stable order that ignores product drift.
-    return tuple(round(c, 12) + 0.0 for c in q)
 
 
 class RotationGroup:
     """A finite subgroup of the rotation group.
 
-    `elements` holds one canonical-sign lift per rotation, sorted; `cover`
-    holds both lifts of every element.  Instances are immutable by
-    convention and safe to share.
+    `elements` holds one canonical-sign lift per rotation, sorted, and
+    `element_rows` the same as an (n, 4) array; `cover` holds both lifts of
+    every element.  Instances are immutable by convention and safe to share.
     """
 
     def __init__(
@@ -173,6 +195,7 @@ class RotationGroup:
     ):
         self.spec = spec
         self.elements = list(elements)
+        self.element_rows = np.array(self.elements, dtype=float)
         self.cover = list(cover)
         self.identity_index = identity_index
 
@@ -191,11 +214,11 @@ class RotationGroup:
 
     def index_of(self, g: Quaternion, tol: float = EPS_POINT) -> int:
         """Index of the rotation covered by g, or NotInGroup."""
-        rep = canonical_sign(g)
-        for i, e in enumerate(self.elements):
-            if qdist(rep, e) <= tol:
-                return i
-        raise NotInGroup(f"{g} is not an element of {self.spec.label}")
+        rep = np.array(canonical_sign(g), dtype=float)
+        hits = np.flatnonzero(same_point(self.element_rows, rep, tol))
+        if not len(hits):
+            raise NotInGroup(f"{g} is not an element of {self.spec.label}")
+        return int(hits[0])
 
     def contains(self, g: Quaternion, tol: float = EPS_POINT) -> bool:
         try:
@@ -221,21 +244,15 @@ def build_group(spec: GroupSpec) -> RotationGroup:
             f"{spec.label}: cover closed at {len(cover)} elements, expected {2 * n}"
         )
 
-    elements: list[Quaternion] = []
-    for q in cover:
-        rep = canonical_sign(q)
-        if not any(qdist(rep, e) <= EPS_POINT for e in elements):
-            elements.append(rep)
-    if len(elements) != n:
+    folded = distinct_rows(canonical_sign(cover))
+    if len(folded) != n:
         raise ClosureFailure(
-            f"{spec.label}: {len(elements)} rotations after sign folding, expected {n}"
+            f"{spec.label}: {len(folded)} rotations after sign folding, expected {n}"
         )
 
-    elements.sort(key=_sort_key)
-    cover = sorted(cover, key=_sort_key)
-    identity_index = next(
-        i for i, e in enumerate(elements) if qdist(e, ONE) <= EPS_POINT
-    )
+    elements = sorted(map(Quaternion._make, folded.tolist()), key=rounded_key)
+    identity_index = int(same_point(np.array(elements), np.array(ONE)).argmax())
+    cover = sorted(map(Quaternion._make, cover.tolist()), key=rounded_key)
     return RotationGroup(spec, elements, cover, identity_index)
 
 

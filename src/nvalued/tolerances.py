@@ -18,11 +18,6 @@ TOL_AXIOM = 1e-6
 # Real-part preservation budget for conjugation.
 TOL_RE = 1e-12
 
-# A canonicalization is flagged as a near-tie when a second group image lies
-# within TIE_FACTOR * EPS_POINT of the chosen representative without being
-# EPS_POINT-equal to it.
-TIE_FACTOR = 10.0
-
 # Random sample points are rejected unless their group images are pairwise
 # at least SEPARATION_FACTOR * EPS_POINT apart (keeps property trials off
 # the singular set, which is tested separately with exact points).

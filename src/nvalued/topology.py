@@ -22,14 +22,23 @@ from typing import Optional
 
 import numpy as np
 
+from .coset import Base
 from .quaternion import (
     Quaternion,
     Vec3,
     conj_matrix,
     random_unit,
     rotation_of,
+    rounded_key,
 )
-from .rotgroups import GroupSpec, RotationGroup, build_group, has_half_turn
+from .rotgroups import (
+    GroupSpec,
+    RotationGroup,
+    build_group,
+    distinct_rows,
+    has_half_turn,
+    same_point,
+)
 from .tolerances import EPS_POINT, TOL_RE
 
 
@@ -120,7 +129,8 @@ def check_suspension(
     what stratifies the quotient into levels of the real part."""
     rng = random.Random(seed)
     points = np.array([tuple(random_unit(rng)) for _ in range(samples)])
-    mats = np.stack([conj_matrix(q) for q in group.cover])
+    # -q conjugates exactly like q, so the elements stand for the cover.
+    mats = conj_matrix(group.element_rows)
     images = np.einsum("kij,mj->mki", mats, points)
     dev = float(np.abs(images[:, :, 0] - points[:, None, 0]).max())
 
@@ -157,13 +167,6 @@ class SingularOrbitData:
         return tuple(sorted(o.stabilizer_order for o in self.orbits))
 
 
-def _rotate_point(g: Quaternion, p: Vec3) -> Vec3:
-    from .quaternion import conj_action
-
-    q = conj_action(g, Quaternion(0.0, p.x, p.y, p.z))
-    return Vec3(q.x, q.y, q.z).normalized()
-
-
 def singular_orbits(group: RotationGroup) -> SingularOrbitData:
     """Brute-force branching data: the axis endpoints of every nontrivial
     rotation, grouped into orbits of the group's action on the sphere,
@@ -174,44 +177,30 @@ def singular_orbits(group: RotationGroup) -> SingularOrbitData:
     IdentityViolation when the data does not cohere.
     """
     n = len(group)
-    points: list[Vec3] = []
-    for i, g in enumerate(group.elements):
-        if i == group.identity_index:
-            continue
-        axis, _ = rotation_of(g)
-        if axis is None:
-            raise IdentityViolation(f"non-identity element of {group.spec} has no axis")
-        for p in (axis, -axis):
-            if not any(_close(p, s) for s in points):
-                points.append(p)
+    imag = np.delete(group.element_rows, group.identity_index, axis=0)[:, 1:]
+    length = np.sqrt((imag * imag).sum(axis=1))
+    if (length <= EPS_POINT).any():
+        raise IdentityViolation(f"non-identity element of {group.spec} has no axis")
+    axes = imag / length[:, None]
+    points = distinct_rows(np.stack([axes, -axes], axis=1).reshape(-1, 3))
 
-    def stabilizer_order(p: Vec3) -> int:
-        return sum(1 for g in group.elements if _close(_rotate_point(g, p), p))
+    # images[i, g]: the i-th axis point rotated by the g-th element
+    rotations = conj_matrix(group.element_rows)[:, 1:, 1:]
+    images = np.einsum("gij,pj->pgi", rotations, points)
+    images /= np.sqrt((images * images).sum(axis=2, keepdims=True))
+    stabilizer = same_point(images, points[:, None]).sum(axis=1)
 
-    remaining = list(points)
+    unassigned = np.ones(len(points), dtype=bool)
     orbits: list[SphereOrbit] = []
-    while remaining:
-        start = remaining.pop(0)
-        orbit = [start]
-        frontier = [start]
-        while frontier:
-            fresh = []
-            for p in frontier:
-                for g in group.elements:
-                    q = _rotate_point(g, p)
-                    if not any(_close(q, s) for s in orbit):
-                        if len(orbit) >= n:
-                            # a genuine orbit cannot outgrow the group; a
-                            # non-closed element set walks off densely
-                            raise IdentityViolation(
-                                f"{group.spec}: axis orbit exceeded the group order"
-                            )
-                        orbit.append(q)
-                        fresh.append(q)
-            frontier = fresh
-        remaining = [p for p in remaining if not any(_close(p, s) for s in orbit)]
-
-        stabs = {stabilizer_order(p) for p in orbit}
+    while unassigned.any():
+        start = unassigned.argmax()
+        orbit = distinct_rows(images[start])
+        on_axis = same_point(orbit[:, None], points[None])
+        unassigned &= ~on_axis.any(axis=0)
+        unassigned[start] = False
+        # only the identity fixes a point off every rotation axis
+        found = on_axis.any(axis=1)
+        stabs = set(np.where(found, stabilizer[on_axis.argmax(axis=1)], 1).tolist())
         if len(stabs) != 1:
             raise IdentityViolation(
                 f"{group.spec}: stabilizer orders differ along one orbit: {stabs}"
@@ -222,20 +211,11 @@ def singular_orbits(group: RotationGroup) -> SingularOrbitData:
                 f"{group.spec}: orbit of size {len(orbit)} with stabilizer {nu} "
                 f"violates orbit-stabilizer for order {n}"
             )
-        orbit.sort(key=lambda p: tuple(round(c, 12) + 0.0 for c in p))
-        orbits.append(SphereOrbit(tuple(orbit), nu))
+        ordered = sorted(map(Vec3._make, orbit.tolist()), key=rounded_key)
+        orbits.append(SphereOrbit(tuple(ordered), nu))
 
-    orbits.sort(
-        key=lambda o: (
-            o.stabilizer_order,
-            tuple(round(c, 12) + 0.0 for c in o.points[0]),
-        )
-    )
+    orbits.sort(key=lambda o: (o.stabilizer_order, rounded_key(o.points[0])))
     return SingularOrbitData(tuple(orbits), n)
-
-
-def _close(p: Vec3, q: Vec3) -> bool:
-    return max(abs(a - b) for a, b in zip(p, q)) <= EPS_POINT
 
 
 def riemann_hurwitz_check(group: RotationGroup) -> bool:
@@ -272,7 +252,7 @@ class ClassificationReport:
     """Predicted homeomorphism type of one quotient, with the checks that
     the prediction rests on."""
 
-    base: "Base"
+    base: Base
     spec: GroupSpec
     n: int
     parity: str
@@ -298,7 +278,7 @@ class ClassificationReport:
 
 
 def classify(
-    base: "Base", spec: GroupSpec, samples: int = 1000, seed: int = 0
+    base: Base, spec: GroupSpec, samples: int = 1000, seed: int = 0
 ) -> ClassificationReport:
     """Predict the homeomorphism type of the quotient of `base` by the
     group and assemble the supporting evidence.
@@ -309,8 +289,6 @@ def classify(
     half-turn search and the antipodal solvability scan, and disagreement
     raises ConsistencyFailure instead of guessing.
     """
-    from .coset import Base  # local import: coset depends on rotgroups only
-
     group = build_group(spec)
     n = len(group)
     even = n % 2 == 0

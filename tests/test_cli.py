@@ -119,6 +119,14 @@ def test_bad_spec_is_usage_error(capsys):
     assert "cannot parse group spec" in err
 
 
+@pytest.mark.parametrize("command", ["generate", "classify"])
+def test_order_above_limit_is_usage_error(capsys, command):
+    code, out, err = run_cli([command, "D501"], capsys)
+    assert code == 2
+    assert "largest supported order is 1000" in err
+    assert out == ""
+
+
 def test_verify_single_space(capsys):
     code, out, _ = run_cli(
         ["verify", "C2", "--base", "so3", "--samples", "20", "--triples", "5"],

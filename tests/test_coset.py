@@ -127,6 +127,25 @@ class TestProject:
             assert qdist(project(s, moved).rep, base_rep) < 1e-9
 
 
+def test_rep_jump_at_the_slack_boundary_is_absorbed_by_matching():
+    # On C2@sp1 the images of (0.6, x, -0.8, 0) are (0.6, +-x, -+0.8, 0).
+    # Across 2x = EPS_POINT the slack filter stops separating them on the
+    # x coordinate, so the representative jumps to the other image; the
+    # two points are still the same orbit and give the same products.
+    s = make_space("C2", "sp1")
+    above = project(s, Quaternion(0.6, 5.001e-10, -0.8, 0.0))
+    below = project(s, Quaternion(0.6, 4.999e-10, -0.8, 0.0))
+    assert above.rep.y < 0.0 < below.rep.y
+    assert orbit_distance(above, below) <= 1e-12
+    z = project(s, Quaternion(0.3, 0.1, -0.2, 0.5).normalized())
+    for left, right in [
+        (orbit_product(above, z), orbit_product(below, z)),
+        (orbit_product(z, above), orbit_product(z, below)),
+        (orbit_product(above, above), orbit_product(below, below)),
+    ]:
+        assert match_multisets(left, right, 1e-6)[0]
+
+
 def test_conjugation_commutes_with_negation():
     # needed for the action to descend to sign classes on the so3 base
     g = Quaternion(0.5, 0.5, 0.5, 0.5)

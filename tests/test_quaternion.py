@@ -217,6 +217,24 @@ def test_left_matrix_stacks_per_row_matrices(qs):
         assert np.array_equal(m, left_matrix(q))
 
 
+@pytest.mark.parametrize("matrix", [right_matrix, conj_matrix])
+@given(qs=st.lists(unit_quaternions(), min_size=1, max_size=6))
+def test_right_and_conj_matrices_stack_per_row_matrices(matrix, qs):
+    stack = matrix(np.array(qs))
+    assert stack.shape == (len(qs), 4, 4)
+    for q, m in zip(qs, stack):
+        assert np.array_equal(m, matrix(q))
+
+
+@given(st.lists(unit_quaternions(), min_size=1, max_size=6))
+def test_canonical_sign_folds_rows_like_single_quaternions(qs):
+    qs += [Quaternion(0.0, 0.0, -1.0, 0.0), Quaternion(-1e-10, -0.6, 0.8, 0.0), -ONE]
+    folded = canonical_sign(np.array(qs))
+    assert [Quaternion(*row) for row in folded.tolist()] == [
+        canonical_sign(q) for q in qs
+    ]
+
+
 @given(unit_quaternions(), unit_quaternions())
 def test_conj_matrix_reproduces_conj_action(q, x):
     got = conj_matrix(q) @ np.array(tuple(x))

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from nvalued.quaternion import ONE, QI, QK, Quaternion, qdist, rotation_of
+from nvalued.quaternion import ONE, QI, QK, Quaternion, qdist, qmul, rotation_of
 from nvalued.rotgroups import (
+    MAX_ORDER,
     ClosureFailure,
     GroupSpec,
     NotInGroup,
@@ -80,7 +81,9 @@ def test_spec_parsing(text, family, param):
     assert (s.family, s.param) == (family, param)
 
 
-@pytest.mark.parametrize("text", ["", "C", "C0", "D-1", "X3", "TT", "C2.5"])
+@pytest.mark.parametrize(
+    "text", ["", "C", "C0", "D-1", "X3", "TT", "C2.5", "C1001", "D501"]
+)
 def test_spec_parse_rejects(text):
     with pytest.raises(ValueError):
         GroupSpec.parse(text)
@@ -93,6 +96,11 @@ def test_spec_validation():
         GroupSpec("T", 3)
     with pytest.raises(ValueError):
         GroupSpec("Q", 2)
+
+
+def test_spec_accepts_order_at_limit():
+    assert GroupSpec.parse("D500").order == MAX_ORDER
+    assert GroupSpec.parse("C1000").order == MAX_ORDER
 
 
 def test_d1_flagged_as_duplicate_of_c2():
@@ -169,3 +177,13 @@ def test_index_of_accepts_either_lift():
     g = build_group(GroupSpec.parse("C4"))
     for q in g.elements:
         assert g.index_of(q) == g.index_of(-q)
+
+
+@pytest.mark.parametrize("label", ["C4", "D3", "I"])
+def test_index_of_rejects_slightly_rotated_elements(label):
+    # 1e-6 rad moves a quaternion by 5e-7, far beyond EPS_POINT
+    g = build_group(GroupSpec.parse(label))
+    tweak = Quaternion(math.cos(5e-7), 0.0, math.sin(5e-7), 0.0)
+    for q in g.elements:
+        with pytest.raises(NotInGroup):
+            g.index_of(qmul(q, tweak).normalized())

@@ -124,7 +124,10 @@ class TestSingularOrbits:
         assert data.orbits == ()
         assert data.signature == ()
 
-    @pytest.mark.parametrize("label, sig", EXPECTED_SIGNATURES.items())
+    @pytest.mark.parametrize(
+        "label, sig",
+        [*EXPECTED_SIGNATURES.items(), ("C100", (100, 100)), ("D100", (2, 2, 100))],
+    )
     def test_signatures_match_classical_table(self, label, sig):
         data = singular_orbits(build_group(GroupSpec.parse(label)))
         assert data.signature == sig
