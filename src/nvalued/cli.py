@@ -20,7 +20,7 @@ from .coset import Base, CosetSpace, Orbit, orbit_distance, orbit_product, proje
 from .quaternion import Quaternion
 from .rotgroups import GroupSpec, build_group, catalog, element_order
 from .tolerances import EPS_POINT, TOL_AXIOM
-from .topology import ConsistencyFailure, IdentityViolation, classify
+from .topology import MAX_SAMPLES, ConsistencyFailure, IdentityViolation, classify
 
 NEAR_UNIT = 1e-3
 
@@ -54,6 +54,13 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError("count must be >= 1")
+    return value
+
+
+def _sample_count(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"at most {MAX_SAMPLES} samples, got {value}")
     return value
 
 
@@ -164,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     p_cls.add_argument(
         "--samples",
-        type=_positive_int,
+        type=_sample_count,
         default=1000,
-        help="samples for the real-part check (default 1000)",
+        help=f"samples for the real-part check, at most {MAX_SAMPLES} (default 1000)",
     )
 
     return parser

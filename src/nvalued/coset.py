@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .quaternion import ONE, Quaternion, conj_matrix, left_matrix, random_unit
 from .rotgroups import RotationGroup
@@ -239,6 +238,15 @@ def _rounded_order(reps: np.ndarray) -> np.ndarray:
     # Rows sorted lexicographically on 12-decimal rounding, stable, so that
     # drift below the rounding does not reorder canonical representatives.
     return np.lexsort(np.round(reps, 12).T[::-1])
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's optimal assignment, imported on first use: only the rare
+    fallback in `match_multisets` needs it, so importing nvalued does not
+    pay for scipy."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def match_multisets(

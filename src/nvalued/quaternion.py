@@ -185,6 +185,23 @@ def random_unit(rng) -> Quaternion:
             return q.normalized()
 
 
+def random_units(rng, m: int) -> np.ndarray:
+    """`m` uniform points of S^3 as an (m, 4) array: bit for bit the points
+    of `m` successive random_unit(rng) calls, drawn in batches.  Each round
+    draws 4 gaussians per missing point, drops the near-zero 4-tuples that
+    random_unit would reject, and normalizes with the same float operations."""
+    batches = []
+    missing = m
+    while missing:
+        q = np.array([rng.gauss(0, 1) for _ in range(4 * missing)]).reshape(-1, 4)
+        w, x, y, z = q.T
+        norm = np.sqrt(w * w + x * x + y * y + z * z)
+        keep = norm >= 1e-8
+        batches.append(q[keep] / norm[keep, None])
+        missing -= int(keep.sum())
+    return np.concatenate(batches or [np.empty((0, 4))])
+
+
 # left_matrix(q)[r, c] == _LEFT_SIGN[r, c] * q[_INDEX[r, c]], and the
 # same for right_matrix with _RIGHT_SIGN.
 _INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])

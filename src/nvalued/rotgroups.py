@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -257,19 +258,21 @@ def build_group(spec: GroupSpec) -> RotationGroup:
 
 
 def element_order(g: Quaternion, group: RotationGroup) -> int:
-    """Least d >= 1 with g^d the identity rotation; g must lie in the group."""
-    i = group.index_of(g)
-    step = group.elements[i]
-    current = step
-    d = 1
-    while qdist(canonical_sign(current), ONE) > EPS_POINT:
-        current = qmul(current, step).normalized()
-        d += 1
-        if d > len(group):
-            raise ClosureFailure(
-                f"power chain of {g} did not return to the identity"
-            )
-    return d
+    """Least d >= 1 with g^d the identity rotation; g must lie in the group.
+
+    A lift of g is cos(pi t) + sin(pi t) u for a unit imaginary u, with
+    t = atan2(|v|, |w|) / pi in [0, 1/2] its turn fraction, so g^d lies at
+    angle pi * dist(d t, Z) from +-1 on the 3-sphere.  In a group of order n
+    the order d divides n: it is the denominator of the fraction k/d
+    nearest t with d <= n, and ClosureFailure says that g^d still misses
+    +-1 by more than EPS_POINT, so no power of g returns to the identity.
+    """
+    w, x, y, z = group.element_rows[group.index_of(g)]
+    turns = math.atan2(math.sqrt(x * x + y * y + z * z), abs(w)) / math.pi
+    frac = Fraction(turns).limit_denominator(len(group))
+    if math.pi * abs(turns - frac) * frac.denominator > EPS_POINT:
+        raise ClosureFailure(f"no power of {g} returns to the identity")
+    return frac.denominator
 
 
 def has_half_turn(group: RotationGroup) -> bool:

@@ -27,7 +27,7 @@ from .quaternion import (
     Quaternion,
     Vec3,
     conj_matrix,
-    random_unit,
+    random_units,
     rotation_of,
     rounded_key,
 )
@@ -40,6 +40,11 @@ from .rotgroups import (
     same_point,
 )
 from .tolerances import EPS_POINT, TOL_RE
+
+
+# Largest sample count for the real-part check, which holds a (samples x
+# order) array: 80 MB at MAX_ORDER.
+MAX_SAMPLES = 10_000
 
 
 class IdentityViolation(RuntimeError):
@@ -127,12 +132,12 @@ def check_suspension(
     """Conjugation by every cover element must preserve the real part of
     random unit quaternions and fix the two poles +-1 outright, which is
     what stratifies the quotient into levels of the real part."""
-    rng = random.Random(seed)
-    points = np.array([tuple(random_unit(rng)) for _ in range(samples)])
+    points = random_units(random.Random(seed), samples)
     # -q conjugates exactly like q, so the elements stand for the cover.
     mats = conj_matrix(group.element_rows)
-    images = np.einsum("kij,mj->mki", mats, points)
-    dev = float(np.abs(images[:, :, 0] - points[:, None, 0]).max())
+    # only the real part of each image is needed: row 0 of each matrix
+    real = np.einsum("kj,mj->mk", mats[:, 0, :], points)
+    dev = float(np.abs(real - points[:, None, 0]).max())
 
     poles = np.array([(1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0)])
     pole_images = np.einsum("kij,mj->mki", mats, poles)

@@ -1,10 +1,17 @@
-"""End-to-end CLI behavior through main(), without subprocesses."""
+"""End-to-end CLI behavior through main(); only the import check starts a
+fresh interpreter."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from nvalued.cli import main
+import nvalued
+from nvalued.cli import build_parser, main
+from nvalued.topology import MAX_SAMPLES
 
 
 def run_cli(argv, capsys):
@@ -125,6 +132,33 @@ def test_order_above_limit_is_usage_error(capsys, command):
     assert code == 2
     assert "largest supported order is 1000" in err
     assert out == ""
+
+
+def test_classify_samples_above_limit_is_usage_error(capsys):
+    too_many = str(MAX_SAMPLES + 1)
+    code, out, err = run_cli(["classify", "C3", "--samples", too_many], capsys)
+    assert code == 2
+    assert f"at most {MAX_SAMPLES} samples" in err
+    assert out == ""
+    args = build_parser().parse_args(["classify", "C3", "--samples", str(MAX_SAMPLES)])
+    assert args.samples == MAX_SAMPLES
+
+
+def test_cli_runs_without_importing_scipy():
+    # scipy backs only the rare matching fallback, so it is imported lazily
+    src = str(Path(nvalued.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys, nvalued.cli\n"
+        "assert nvalued.cli.main(['classify', 'D3']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_single_space(capsys):

@@ -27,6 +27,7 @@ from nvalued.quaternion import (
     qdist,
     qmul,
     random_unit,
+    random_units,
     right_matrix,
     rotation_of,
 )
@@ -193,6 +194,35 @@ def test_random_unit_is_unit_and_reproducible():
     assert a == b
     for q in a:
         assert abs(q.norm() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("seed, m", [(0, 1), (3, 17), (42, 1000)])
+def test_random_units_are_successive_random_unit_draws(seed, m):
+    a, b = random.Random(seed), random.Random(seed)
+    expected = np.array([tuple(random_unit(a)) for _ in range(m)])
+    assert random_units(b, m).tobytes() == expected.tobytes()
+    assert a.getstate() == b.getstate()
+
+
+class ZeroTupleRng:
+    """A seeded gaussian stream whose third 4-tuple is all zeros, which
+    random_unit rejects and redraws."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.calls = 0
+
+    def gauss(self, mu, sigma):
+        self.calls += 1
+        value = self.rng.gauss(mu, sigma)
+        return 0.0 if 9 <= self.calls <= 12 else value
+
+
+def test_random_units_reject_a_zero_tuple_like_random_unit():
+    a, b = ZeroTupleRng(5), ZeroTupleRng(5)
+    expected = np.array([tuple(random_unit(a)) for _ in range(6)])
+    assert random_units(b, 6).tobytes() == expected.tobytes()
+    assert a.calls == b.calls == 4 * 7
 
 
 def test_random_unit_covers_all_signs(rng):

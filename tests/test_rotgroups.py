@@ -4,7 +4,17 @@ import math
 
 import pytest
 
-from nvalued.quaternion import ONE, QI, QK, Quaternion, qdist, qmul, rotation_of
+from nvalued.axioms import corrupted_copy
+from nvalued.quaternion import (
+    ONE,
+    QI,
+    QK,
+    Quaternion,
+    canonical_sign,
+    qdist,
+    qmul,
+    rotation_of,
+)
 from nvalued.rotgroups import (
     MAX_ORDER,
     ClosureFailure,
@@ -141,6 +151,51 @@ class TestElementOrder:
                 continue
             k = round(angle * d / (2 * math.pi))
             assert abs(angle - 2 * math.pi * k / d) < 1e-9
+
+
+def power_chain_order(q, group):
+    """The definition: the least d >= 1 with q^d within EPS_POINT of +-1,
+    by repeated multiplication."""
+    current, d = q, 1
+    while qdist(canonical_sign(current), ONE) > 1e-9:
+        current = qmul(current, q).normalized()
+        d += 1
+        assert d <= len(group), "power chain did not return to the identity"
+    return d
+
+
+def euler_phi(n):
+    return sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+
+
+class TestElementOrderClosedForm:
+    @pytest.mark.parametrize("label", [*CATALOG_ORDERS, "C97", "D100"])
+    def test_matches_power_chain(self, label):
+        g = build_group(GroupSpec.parse(label))
+        for q in g.elements:
+            assert element_order(q, g) == power_chain_order(q, g)
+
+    @pytest.mark.parametrize("label", ["C1000", "D500"])
+    def test_counts_follow_euler_phi(self, label):
+        # Cn has phi(d) elements of order d for each d | n; Dm adds m
+        # half-turns to its cyclic subgroup Cm.
+        g = build_group(GroupSpec.parse(label))
+        spec = g.spec
+        n = spec.param
+        expected = {d: euler_phi(d) for d in range(1, n + 1) if n % d == 0}
+        if spec.family == "D":
+            expected[2] = expected.get(2, 0) + n
+        orders = [element_order(q, g) for q in g.elements]
+        assert {d: orders.count(d) for d in set(orders)} == expected
+
+    def test_corrupted_element_has_no_order(self):
+        g = corrupted_copy(build_group(GroupSpec.parse("C5")), 0.1)
+        bad = 1 if g.identity_index == 0 else 0
+        with pytest.raises(ClosureFailure):
+            element_order(g.elements[bad], g)
+        for i, q in enumerate(g.elements):
+            if i != bad:
+                assert element_order(q, g) == power_chain_order(q, g)
 
 
 @pytest.mark.parametrize("label, order", CATALOG_ORDERS.items())

@@ -1,6 +1,7 @@
 """Antipodal equation, suspension structure, branching data, classification."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from nvalued.quaternion import (
     conj_matrix,
     qdist,
     qmul,
+    random_unit,
 )
 from nvalued.rotgroups import GroupSpec, build_group, catalog, has_half_turn
 from nvalued.topology import (
@@ -110,6 +112,21 @@ class TestSuspension:
         # the control: translation, unlike conjugation, moves the real part
         x = Quaternion(0.3, 0.1, -0.2, 0.5).normalized()
         assert abs(qmul(QK, x).w - x.w) > 0.1
+
+    @pytest.mark.parametrize("spec", catalog(), ids=str)
+    def test_deviation_equals_full_image_tensor(self, spec):
+        # the real-part row alone gives bit for bit the deviation of the
+        # full conjugation images of the same points
+        g = build_group(spec)
+        rng = random.Random(0)
+        points = np.array([tuple(random_unit(rng)) for _ in range(1000)])
+        poles = np.array([(1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0)])
+        mats = conj_matrix(g.element_rows)
+        images = np.einsum("kij,mj->mki", mats, points)
+        dev = float(np.abs(images[:, :, 0] - points[:, None, 0]).max())
+        pole_images = np.einsum("kij,mj->mki", mats, poles)
+        pole_dev = float(np.abs(pole_images - poles[:, None, :]).max())
+        assert check_suspension(g, 1000, 0).max_deviation == max(dev, pole_dev)
 
     def test_deterministic_in_seed(self):
         g = build_group(GroupSpec.parse("D3"))
