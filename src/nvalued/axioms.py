@@ -12,24 +12,37 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .coset import (
     Base,
     CosetSpace,
+    _canonical,
+    _distances,
+    _match,
+    _orbits,
+    _product,
+    _product_left,
+    _product_right,
+    _random_points,
     identity_orbit,
-    match_multisets,
     orbit_distance,
-    orbit_inverse,
-    orbit_product,
-    orbit_product_left,
-    orbit_product_right,
-    product_from_representatives,
-    random_point,
 )
-from .quaternion import Quaternion, canonical_sign, qmul
+from .quaternion import (
+    _CONJ_SIGN,
+    Quaternion,
+    canonical_sign,
+    normalized_rows,
+    qmul,
+)
 from .rotgroups import RotationGroup
 from .tolerances import TOL_AXIOM
+
+# A block of trials holds at most this many product values (or one trial,
+# when a trial alone has more), so memory does not grow with the trial count.
+BLOCK_VALUES = 1 << 16
 
 AXIOM_NAMES = ("identity", "inverse", "associativity", "well_defined")
 
@@ -76,13 +89,13 @@ def _run_trials(
 ) -> AxiomReport:
     """Run `trial_fn` repeatedly; it returns the deviation of one trial.
     A trial fails unless its deviation is at most `tol`, so a non-finite
-    deviation is a failure."""
+    deviation is a failure, and it is reported as an infinite one."""
     rng = random.Random(seed)
     failures = 0
     worst = 0.0
     for _ in range(trials):
         dev = trial_fn(rng)
-        worst = max(worst, dev)
+        worst = max(worst, dev if math.isfinite(dev) else math.inf)
         if not dev <= tol:
             failures += 1
     return AxiomReport(
@@ -97,18 +110,60 @@ def _run_trials(
     )
 
 
+def _in_blocks(
+    trials: int,
+    values_per_trial: int,
+    block_fn: Callable[[random.Random, int], Sequence[float]],
+) -> Callable[[random.Random], float]:
+    """The trial function for _run_trials of a check that computes its
+    trials a block at a time: `block_fn(rng, count)` draws the next `count`
+    trials from `rng` in the order the trials would draw them one by one,
+    and returns their deviations.  A block holds at most BLOCK_VALUES
+    product values, or one trial."""
+    size = max(1, BLOCK_VALUES // values_per_trial)
+    stream = None
+
+    def deviations(rng: random.Random) -> Iterator[float]:
+        for start in range(0, trials, size):
+            yield from block_fn(rng, min(size, trials - start))
+
+    def trial(rng: random.Random) -> float:
+        nonlocal stream
+        if stream is None:
+            stream = deviations(rng)
+        return next(stream)
+
+    return trial
+
+
+def _sample(space: CosetSpace, rng: random.Random, count: int) -> np.ndarray:
+    """Canonical representatives of `count` successive random points."""
+    return _canonical(space, _random_points(space, rng, count))
+
+
 def check_identity(
     space: CosetSpace, samples: int = 200, seed: int = 0, tol: float = TOL_AXIOM
 ) -> AxiomReport:
     """Every entry of both products with the identity class must be the
     input class itself."""
-    e = identity_orbit(space)
+    e = np.array([identity_orbit(space).rep])
+    n = space.n
 
-    def trial(rng: random.Random) -> float:
-        x = random_point(space, rng)
-        entries = orbit_product(e, x) + orbit_product(x, e)
-        return max(orbit_distance(x, v) for v in entries)
+    def block(rng: random.Random, count: int) -> list[float]:
+        x = _sample(space, rng, count)
+        entries = np.concatenate(
+            [
+                _product(space, e, x).reshape(count, n, 4),
+                _product(space, x, e).reshape(count, n, 4),
+            ],
+            axis=1,
+        )
+        return [
+            max(orbit_distance(xo, v) for v in _orbits(space, values))
+            for xo, values in zip(_orbits(space, x), entries)
+        ]
 
+    trial = _in_blocks(samples, 2 * n, block)
     return _run_trials(space, "identity", samples, seed, tol, trial)
 
 
@@ -118,15 +173,18 @@ def check_inverse(
     """The identity class must appear among the products of a point with
     its inverse, on both sides.  Deviation is the distance from the nearest
     product entry to the identity."""
-    e = identity_orbit(space)
+    e = np.array(identity_orbit(space).rep)
+    n = space.n
 
-    def trial(rng: random.Random) -> float:
-        x = random_point(space, rng)
-        ix = orbit_inverse(x)
-        right = min(orbit_distance(e, v) for v in orbit_product(x, ix))
-        left = min(orbit_distance(e, v) for v in orbit_product(ix, x))
-        return max(right, left)
+    def block(rng: random.Random, count: int) -> np.ndarray:
+        x = _sample(space, rng, count)
+        # orbit_inverse: the orbit of the conjugate, normalized as project does
+        ix = _canonical(space, normalized_rows(x * _CONJ_SIGN))
+        values = np.concatenate([_product(space, x, ix), _product(space, ix, x)])
+        dist = _distances(space, e, values).reshape(2, count, n)
+        return dist.min(axis=2).max(axis=0).tolist()
 
+    trial = _in_blocks(samples, 2 * n, block)
     return _run_trials(space, "inverse", samples, seed, tol, trial)
 
 
@@ -145,16 +203,16 @@ def check_associativity(
     """(x y) z and x (y z), each an n^2-element multiset, must agree."""
     if triples is None:
         triples = default_triples(space)
+    n = space.n
 
-    def trial(rng: random.Random) -> float:
-        x = random_point(space, rng)
-        y = random_point(space, rng)
-        z = random_point(space, rng)
-        _, dev = match_multisets(
-            orbit_product_left(x, y, z), orbit_product_right(x, y, z), tol
-        )
-        return dev
+    def block(rng: random.Random, count: int) -> list[float]:
+        points = _sample(space, rng, 3 * count).reshape(count, 3, 4)
+        x, y, z = points.transpose(1, 0, 2)
+        left = _product_left(space, x, y, z).reshape(count, n * n, 4)
+        right = _product_right(space, x, y, z).reshape(count, n * n, 4)
+        return [_match(space, a, b, tol)[1] for a, b in zip(left, right)]
 
+    trial = _in_blocks(triples, 2 * n * n, block)
     return _run_trials(space, "associativity", triples, seed, tol, trial)
 
 
@@ -163,22 +221,27 @@ def check_well_defined(
 ) -> AxiomReport:
     """The product multiset must not depend on which representatives of the
     two classes it is computed from."""
+    n = space.n
 
-    def trial(rng: random.Random) -> float:
-        x = random_point(space, rng)
-        y = random_point(space, rng)
-        n = len(space.group)
-        a = space.representative_image(
-            x.rep, rng.randrange(n), negate=_maybe_negate(space, rng)
-        )
-        b = space.representative_image(
-            y.rep, rng.randrange(n), negate=_maybe_negate(space, rng)
-        )
-        _, dev = match_multisets(
-            orbit_product(x, y), product_from_representatives(space, a, b), tol
-        )
-        return dev
+    def block(rng: random.Random, count: int) -> list[float]:
+        # Per trial: two points, then for each a group element and, on the
+        # rotation base, a lift sign that move it to another representative.
+        points, moves = [], []
+        for _ in range(count):
+            points.append(_random_points(space, rng, 2))
+            moves += [(rng.randrange(n), _maybe_negate(space, rng)) for _ in range(2)]
+        reps = _canonical(space, np.concatenate(points)).reshape(count, 2, 4)
+        x, y = reps.transpose(1, 0, 2)
+        chosen = np.array(moves, dtype=int).reshape(count, 2, 2)
+        (ia, na), (ib, nb) = chosen.transpose(1, 2, 0)
+        rows = np.arange(count)
+        a = space.act_images(x)[rows, ia] * np.where(na, -1.0, 1.0)[:, None]
+        b = space.act_images(y)[rows, ib] * np.where(nb, -1.0, 1.0)[:, None]
+        want = _product(space, x, y).reshape(count, n, 4)
+        got = _product(space, a, b).reshape(count, n, 4)
+        return [_match(space, p, q, tol)[1] for p, q in zip(want, got)]
 
+    trial = _in_blocks(samples, 2 * n, block)
     return _run_trials(space, "well_defined", samples, seed, tol, trial)
 
 

@@ -148,15 +148,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     p_ver.add_argument(
         "--samples",
-        type=_positive_int,
+        type=_sample_count,
         default=200,
-        help="trials for the identity/inverse checks (default 200)",
+        help=f"trials for the identity/inverse checks, at most {MAX_SAMPLES} "
+        "(default 200)",
     )
     p_ver.add_argument(
         "--triples",
-        type=_positive_int,
+        type=_sample_count,
         default=None,
-        help="associativity triples (default 50, or 20 for groups of order >= 60)",
+        help=f"associativity triples, at most {MAX_SAMPLES} "
+        "(default 50, or 20 for groups of order >= 60)",
     )
     p_ver.add_argument(
         "--tol",

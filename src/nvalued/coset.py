@@ -33,7 +33,14 @@ from enum import Enum
 
 import numpy as np
 
-from .quaternion import ONE, Quaternion, conj_matrix, left_matrix, random_unit
+from .quaternion import (
+    ONE,
+    Quaternion,
+    conj_matrix,
+    left_matrix,
+    normalized_rows,
+    random_units,
+)
 from .rotgroups import RotationGroup
 from .tolerances import EPS_POINT, SEPARATION_FACTOR
 
@@ -45,6 +52,11 @@ class Base(Enum):
 
     SP1 = "sp1"
     SO3 = "so3"
+
+
+# A sweep over many rows runs in blocks of at most this many images, so
+# that its temporaries stay in cache.
+SWEEP_BLOCK = 1 << 16
 
 
 class SizeMismatch(ValueError):
@@ -60,8 +72,12 @@ class CosetSpace:
     identified with, which canonicalization maximizes over; on the rotation
     base each point also carries the sign ambiguity of its lift, so the
     family there includes the negated maps.  Both families are kept as
-    (k*4, 4) stacks, row 4*i + r holding row r of the i-th map, so that a
-    sweep of m points is a single (m, 4) x (4, k*4) matmul.
+    (k*4, 4) stacks, so that a sweep of m points is a single
+    (m, 4) x (4, k*4) matmul.  The acting stack is map-major (row 4*i + r
+    holds row r of the i-th map); the canon stack is coordinate-major (row
+    r*k + i), so that a canon sweep lays out each coordinate of the k
+    images of a point contiguously, which is the axis that
+    canonicalization and orbit distances reduce over.
     """
 
     def __init__(self, group: RotationGroup, base: Base):
@@ -71,7 +87,9 @@ class CosetSpace:
         canon = act if base is Base.SP1 else np.concatenate([act, -act])
         self._act = act
         self._act_stack = act.reshape(-1, 4)
-        self._canon_stack = canon.reshape(-1, 4)
+        self._canon_cols = canon.transpose(1, 0, 2).reshape(-1, 4)
+        # Rows per block of a canon sweep of many points.
+        self._block_rows = max(1, SWEEP_BLOCK // len(canon))
 
     @property
     def n(self) -> int:
@@ -88,12 +106,17 @@ class CosetSpace:
     def act_images(self, points: np.ndarray) -> np.ndarray:
         """Images of each row of `points` under every acting map;
         shape (len(points), n, 4)."""
-        return _sweep(points, self._act_stack)
+        return (points @ self._act_stack.T).reshape(len(points), -1, 4)
 
     def canon_images(self, points: np.ndarray) -> np.ndarray:
         """Full orbit sweep used for canonicalization (includes lift signs
-        on the rotation quotient); shape (len(points), k, 4)."""
-        return _sweep(points, self._canon_stack)
+        on the rotation quotient); shape (len(points), k, 4), a view of the
+        coordinate-major sweep."""
+        return self._canon_sweep(points).transpose(0, 2, 1)
+
+    def _canon_sweep(self, points: np.ndarray) -> np.ndarray:
+        """The canon sweep coordinate-major: shape (len(points), 4, k)."""
+        return (points @ self._canon_cols.T).reshape(len(points), 4, -1)
 
     def representative_image(
         self, point: Quaternion, index: int, negate: bool = False
@@ -105,10 +128,6 @@ class CosetSpace:
         if negate:
             vec = -vec
         return Quaternion(*(float(c) for c in vec))
-
-
-def _sweep(points: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    return (points @ stack.T).reshape(len(points), len(stack) // 4, 4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +146,17 @@ def _orbits(space: CosetSpace, reps: np.ndarray) -> list[Orbit]:
     return [Orbit(space, Quaternion(*row)) for row in reps.tolist()]
 
 
+def _blocks(space: CosetSpace, m: int) -> list[slice]:
+    """Row slices of an m-row batch, each sweeping at most SWEEP_BLOCK canon
+    images.  The blocks are of equal size (within one row), so a batch of
+    several rows never leaves a one-row block: numpy computes a one-row
+    sweep by another BLAS routine, whose last bits differ, and a block's
+    result would then depend on how the batch was cut."""
+    count = max(1, -(-m // space._block_rows))
+    edges = [m * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def _canonical(space: CosetSpace, points: np.ndarray) -> np.ndarray:
     """Canonical representative of the orbit of each row of `points`, as an
     (m, 4) array.
@@ -138,17 +168,25 @@ def _canonical(space: CosetSpace, points: np.ndarray) -> np.ndarray:
     are points of the same orbit, so orbit distance and multiset matching
     absorb the jump.
     """
-    images = space.canon_images(points)
-    images = images / np.sqrt((images * images).sum(axis=2, keepdims=True))
+    if len(points) <= space._block_rows:
+        return _canonical_block(space, points)
+    return np.concatenate(
+        [_canonical_block(space, points[b]) for b in _blocks(space, len(points))]
+    )
 
-    m, k, _ = images.shape
+
+def _canonical_block(space: CosetSpace, points: np.ndarray) -> np.ndarray:
+    images = space._canon_sweep(points)
+    images = images / np.sqrt((images * images).sum(axis=1, keepdims=True))
+
+    m, _, k = images.shape
     alive = np.ones((m, k), dtype=bool)
     for coord in range(4):
-        col = np.where(alive, images[:, :, coord], -np.inf)
+        col = np.where(alive, images[:, coord], -np.inf)
         alive &= col >= col.max(axis=1, keepdims=True) - EPS_POINT
         if alive.sum() == m:
             # One image survives in every row, and later coordinates keep it.
-            return images[alive]
+            return images.transpose(0, 2, 1)[alive]
 
     # In some rows several images survived the slack filter; take the exact
     # lexicographic max among them (the last one, if several are exactly
@@ -157,10 +195,10 @@ def _canonical(space: CosetSpace, points: np.ndarray) -> np.ndarray:
     multi = np.flatnonzero(alive.sum(axis=1) > 1)
     images_m, best = images[multi], alive[multi]
     for coord in range(4):
-        col = np.where(best, images_m[:, :, coord], -np.inf)
+        col = np.where(best, images_m[:, coord], -np.inf)
         best &= col == col.max(axis=1, keepdims=True)
     pick[multi] = k - 1 - best[:, ::-1].argmax(axis=1)
-    return images[np.arange(m), pick]
+    return images[np.arange(m), :, pick]
 
 
 def _nearest(points: np.ndarray, images: np.ndarray) -> np.ndarray:
@@ -168,6 +206,20 @@ def _nearest(points: np.ndarray, images: np.ndarray) -> np.ndarray:
     (..., k, 4); inf when there are no images."""
     diffs = images - points[..., None, :]
     return np.sqrt((diffs * diffs).sum(axis=-1)).min(axis=-1, initial=np.inf)
+
+
+def _distances(
+    space: CosetSpace, points: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """Orbit distance from each row of `points` (or from one point, a
+    (4,) array) to the orbit of the same row of `values`, swept in blocks."""
+    points = np.broadcast_to(points, values.shape)
+    return np.concatenate(
+        [
+            _nearest(points[b], space.canon_images(values[b]))
+            for b in _blocks(space, len(values))
+        ]
+    )
 
 
 def _product(space: CosetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -209,18 +261,29 @@ def orbit_product(x: Orbit, y: Orbit) -> list[Orbit]:
     return product_from_representatives(x.space, x.rep, y.rep)
 
 
+def _product_left(space: CosetSpace, x, y, z) -> np.ndarray:
+    """All n^2 values of (x[t] y[t]) z[t] for each row t of the (m, 4)
+    arrays, as n^2 consecutive rows per t: row i*n + j of a block holds the
+    j-th value of the i-th value of x y times z."""
+    return _product(space, _product(space, x, y), np.repeat(z, space.n, axis=0))
+
+
+def _product_right(space: CosetSpace, x, y, z) -> np.ndarray:
+    """All n^2 values of x[t] (y[t] z[t]), laid out as in _product_left
+    with the values of y z in place of those of x y."""
+    return _product(space, np.repeat(x, space.n, axis=0), _product(space, y, z))
+
+
 def orbit_product_left(x: Orbit, y: Orbit, z: Orbit) -> list[Orbit]:
     """All n^2 values of (x y) z, concatenated over the n values of x y."""
-    space = x.space
-    xy = _product(space, np.array([x.rep]), np.array([y.rep]))
-    return _orbits(space, _product(space, xy, np.array([z.rep])))
+    reps = (np.array([o.rep]) for o in (x, y, z))
+    return _orbits(x.space, _product_left(x.space, *reps))
 
 
 def orbit_product_right(x: Orbit, y: Orbit, z: Orbit) -> list[Orbit]:
     """All n^2 values of x (y z), concatenated over the n values of y z."""
-    space = x.space
-    yz = _product(space, np.array([y.rep]), np.array([z.rep]))
-    return _orbits(space, _product(space, np.array([x.rep]), yz))
+    reps = (np.array([o.rep]) for o in (x, y, z))
+    return _orbits(x.space, _product_right(x.space, *reps))
 
 
 def orbit_inverse(x: Orbit) -> Orbit:
@@ -269,10 +332,16 @@ def match_multisets(
         raise SizeMismatch(f"multisets of size {len(a)} vs {len(b)}")
     if not a:
         return True, 0.0
+    return _match(
+        a[0].space, np.array([o.rep for o in a]), np.array([o.rep for o in b]), tol
+    )
 
-    ra = np.array([o.rep for o in a])
-    rb = np.array([o.rep for o in b])
 
+def _match(
+    space: CosetSpace, ra: np.ndarray, rb: np.ndarray, tol: float
+) -> tuple[bool, float]:
+    """match_multisets on two non-empty (m, 4) arrays of canonical
+    representatives."""
     gap = float(np.abs(np.sort(ra, axis=0) - np.sort(rb, axis=0)).max())
     if not gap <= 2.0 * tol:
         # Sound rejection: a genuine matching within tol moves every
@@ -280,9 +349,8 @@ def match_multisets(
         # A NaN representative is rejected here too.
         return False, gap
 
-    space = a[0].space
     sa, sb = ra[_rounded_order(ra)], rb[_rounded_order(rb)]
-    pair = _nearest(sa, space.canon_images(sb))
+    pair = _distances(space, sa, sb)
     if not (pair > tol).any():
         return True, float(pair.max())
 
@@ -304,18 +372,40 @@ def random_point(
 ) -> Orbit:
     """A random orbit whose sweep images are pairwise well separated, so
     canonicalization and matching are stable.  Rejection-samples until the
-    minimum pairwise distance exceeds SEPARATION_FACTOR * EPS_POINT."""
+    minimum pairwise distance exceeds SEPARATION_FACTOR * EPS_POINT, and
+    raises RuntimeError after `max_tries` rejections in a row."""
+    points = _random_points(space, rng, 1, max_tries)
+    (x,) = _orbits(space, _canonical(space, points))
+    return x
+
+
+def _random_points(
+    space: CosetSpace, rng: random.Random, count: int, max_tries: int = 64
+) -> np.ndarray:
+    """The unit quaternions that `count` successive random_point calls
+    canonicalize, as a (count, 4) array, drawn from the same candidate
+    stream: candidates come from random_units, a rejected one is skipped,
+    and `max_tries` rejections in a row raise RuntimeError.  Each round
+    draws one candidate per missing point, so no candidate past the last
+    accepted one is drawn."""
     floor = SEPARATION_FACTOR * EPS_POINT
-    for _ in range(max_tries):
-        q = random_unit(rng)
-        images = space.canon_images(np.array([q]))[0]
-        # The sweep maps form a group of isometries, so the images are
-        # pairwise separated exactly when q is far from its image under
+    accepted = []
+    missing, run = count, 0
+    while missing:
+        q = random_units(rng, missing)
+        # The sweep maps form a group of isometries, so a point's images are
+        # pairwise separated exactly when it is far from its image under
         # every map other than the identity.
-        others = np.delete(images, space.group.identity_index, axis=0)
-        if float(_nearest(np.array(q), others)) > floor:
-            return project(space, q)
-    raise RuntimeError(
-        f"could not sample a well-separated point of {space.label} "
-        f"in {max_tries} tries"
-    )
+        others = np.delete(space.canon_images(q), space.group.identity_index, axis=1)
+        keep = _nearest(q, others) > floor
+        for ok in keep.tolist():
+            run = 0 if ok else run + 1
+            if run == max_tries:
+                raise RuntimeError(
+                    f"could not sample a well-separated point of {space.label} "
+                    f"in {max_tries} tries"
+                )
+        accepted.append(q[keep])
+        missing -= int(keep.sum())
+    # project normalizes its argument again; so does this, bit for bit.
+    return normalized_rows(np.concatenate(accepted))

@@ -194,12 +194,23 @@ def random_units(rng, m: int) -> np.ndarray:
     missing = m
     while missing:
         q = np.array([rng.gauss(0, 1) for _ in range(4 * missing)]).reshape(-1, 4)
-        w, x, y, z = q.T
-        norm = np.sqrt(w * w + x * x + y * y + z * z)
+        norm = _row_norms(q)
         keep = norm >= 1e-8
         batches.append(q[keep] / norm[keep, None])
         missing -= int(keep.sum())
     return np.concatenate(batches or [np.empty((0, 4))])
+
+
+def _row_norms(q: np.ndarray) -> np.ndarray:
+    w, x, y, z = q.T
+    return np.sqrt(w * w + x * x + y * y + z * z)
+
+
+def normalized_rows(q: np.ndarray) -> np.ndarray:
+    """Each row of an (m, 4) array divided by its norm, with the float
+    operations of Quaternion.normalized: a row comes out bit for bit as
+    Quaternion(*row).normalized()."""
+    return q / _row_norms(q)[:, None]
 
 
 # left_matrix(q)[r, c] == _LEFT_SIGN[r, c] * q[_INDEX[r, c]], and the

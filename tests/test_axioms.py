@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from nvalued import axioms
 from nvalued.axioms import (
     _run_trials,
     check_associativity,
@@ -15,8 +16,19 @@ from nvalued.axioms import (
     default_triples,
     run_all,
 )
-from nvalued.coset import Base, CosetSpace
+from nvalued.coset import (
+    Base,
+    CosetSpace,
+    Orbit,
+    identity_orbit,
+    match_multisets,
+    orbit_distance,
+    orbit_inverse,
+    orbit_product,
+    random_point,
+)
 from nvalued.rotgroups import GroupSpec, build_group
+from nvalued.tolerances import TOL_AXIOM
 
 from .conftest import make_space
 
@@ -42,6 +54,92 @@ def test_non_finite_deviation_is_a_failure(dev):
     report = _run_trials(space, "identity", 3, 0, 1e-6, lambda rng: dev)
     assert report.failures == 3
     assert not report.passed
+    assert report.max_deviation == math.inf
+
+
+def test_non_finite_deviation_among_finite_ones_is_reported_as_inf():
+    devs = iter([1e-16, math.nan, 2e-16])
+    space = make_space("C2", "sp1")
+    report = _run_trials(space, "identity", 3, 0, 1e-6, lambda rng: next(devs))
+    assert report.failures == 1
+    assert report.max_deviation == math.inf
+
+
+def reference_run_all(space, samples, triples, seed, tol=TOL_AXIOM):
+    """run_all as a loop of one trial at a time on the public functions,
+    drawing from the rng in the same order as the batched checks."""
+    e = identity_orbit(space)
+
+    def identity(rng):
+        x = random_point(space, rng)
+        entries = orbit_product(e, x) + orbit_product(x, e)
+        return max(orbit_distance(x, v) for v in entries)
+
+    def inverse(rng):
+        x = random_point(space, rng)
+        ix = orbit_inverse(x)
+        right = min(orbit_distance(e, v) for v in orbit_product(x, ix))
+        left = min(orbit_distance(e, v) for v in orbit_product(ix, x))
+        return max(right, left)
+
+    def associativity(rng):
+        x, y, z = (random_point(space, rng) for _ in range(3))
+        left = [v for xy in orbit_product(x, y) for v in orbit_product(xy, z)]
+        right = [v for yz in orbit_product(y, z) for v in orbit_product(x, yz)]
+        return match_multisets(left, right, tol)[1]
+
+    def well_defined(rng):
+        x, y = random_point(space, rng), random_point(space, rng)
+        moved = []
+        for p in (x, y):
+            index = rng.randrange(space.n)
+            negate = space.base is Base.SO3 and rng.random() < 0.5
+            moved.append(Orbit(space, space.representative_image(p.rep, index, negate)))
+        return match_multisets(orbit_product(x, y), orbit_product(*moved), tol)[1]
+
+    budgets = [
+        ("identity", samples, identity),
+        ("inverse", samples, inverse),
+        ("associativity", triples, associativity),
+        ("well_defined", max(1, samples // 2), well_defined),
+    ]
+    return [
+        _run_trials(space, axiom, count, seed + k, tol, fn)
+        for k, (axiom, count, fn) in enumerate(budgets)
+    ]
+
+
+REFERENCE_GROUPS = ["C3", "D2", "T", "O", "I"]
+
+
+def assert_matches_reference(space, samples=12, triples=3, seed=0):
+    got = run_all(space, samples=samples, triples=triples, seed=seed)
+    want = reference_run_all(space, samples, triples, seed)
+    for g, w in zip(got, want):
+        assert (g.axiom, g.trials, g.failures) == (w.axiom, w.trials, w.failures)
+        assert abs(g.max_deviation - w.max_deviation) <= 1e-15, (g, w)
+
+
+@pytest.mark.parametrize("base", ["sp1", "so3"])
+@pytest.mark.parametrize("label", REFERENCE_GROUPS)
+def test_batched_checks_match_the_per_trial_reference(label, base):
+    assert_matches_reference(make_space(label, base))
+
+
+@pytest.mark.parametrize("base", ["sp1", "so3"])
+@pytest.mark.parametrize("label", ["C3", "T"])
+def test_small_trial_blocks_match_the_per_trial_reference(monkeypatch, label, base):
+    # 40 values: several trials per block with a remainder, or one trial
+    monkeypatch.setattr(axioms, "BLOCK_VALUES", 40)
+    assert_matches_reference(make_space(label, base), samples=13, triples=5)
+
+
+@pytest.mark.parametrize("angle", [0.1, 1e-5])
+@pytest.mark.parametrize("label", REFERENCE_GROUPS)
+def test_batched_checks_match_the_reference_on_corrupted_groups(label, angle):
+    bad = corrupted_copy(build_group(GroupSpec.parse(label)), extra_angle=angle)
+    for base in (Base.SP1, Base.SO3):
+        assert_matches_reference(CosetSpace(bad, base))
 
 
 def test_default_triples_shrinks_for_large_groups():

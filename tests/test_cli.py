@@ -144,6 +144,16 @@ def test_classify_samples_above_limit_is_usage_error(capsys):
     assert args.samples == MAX_SAMPLES
 
 
+@pytest.mark.parametrize("flag", ["--samples", "--triples"])
+def test_verify_counts_above_limit_are_usage_errors(capsys, flag):
+    code, out, err = run_cli(["verify", "C2", flag, str(MAX_SAMPLES + 1)], capsys)
+    assert code == 2
+    assert f"at most {MAX_SAMPLES} samples" in err
+    assert out == ""
+    args = build_parser().parse_args(["verify", "C2", flag, str(MAX_SAMPLES)])
+    assert vars(args)[flag[2:]] == MAX_SAMPLES
+
+
 def test_cli_runs_without_importing_scipy():
     # scipy backs only the rare matching fallback, so it is imported lazily
     src = str(Path(nvalued.__file__).resolve().parents[1])

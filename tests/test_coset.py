@@ -5,6 +5,7 @@ half-turn about z: conjugation by k fixes +-1 and +-k and negates the i and
 j directions, so orbits and products can be written out by hand and frozen.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -32,7 +33,7 @@ from nvalued.coset import (
     random_point,
 )
 from nvalued.quaternion import (
-    ONE, QI, QJ, QK, Quaternion, conj_action, qdist, random_unit,
+    ONE, QI, QJ, QK, Quaternion, conj_action, qdist, random_unit, random_units,
 )
 from nvalued.tolerances import EPS_POINT, SEPARATION_FACTOR
 
@@ -83,6 +84,16 @@ class TestProject:
         want = np.array([reference_canonical(s, p) for p in points])
         # a batched sweep may round differently from a one-row sweep
         assert np.abs(_canonical(s, points) - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_blocked_canonicalization_equals_one_block(self, offset):
+        s = make_space("I", "so3")
+        m = s._block_rows + offset
+        points = random_units(random.Random(offset), m)
+        blocks = coset._blocks(s, m)
+        assert [i for b in blocks for i in range(m)[b]] == list(range(m))
+        assert max(b.stop - b.start for b in blocks) <= s._block_rows
+        assert np.array_equal(_canonical(s, points), coset._canonical_block(s, points))
 
     def test_identity_orbit_rep_is_one(self):
         for label, base in SMALL_SPACES:
@@ -336,6 +347,57 @@ def test_random_point_respects_separation_floor(rng):
         d = np.sqrt(((images[:, None, :] - images[None, :, :]) ** 2).sum(axis=2))
         np.fill_diagonal(d, np.inf)
         assert float(d.min()) > floor
+
+
+class StubRng:
+    """Yields the given gaussians in order; counts how many were drawn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+        self.drawn = 0
+
+    def gauss(self, mu, sigma):
+        self.drawn += 1
+        return next(self.values)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("count", [1, 5, 40])
+def test_batched_draw_matches_successive_random_points(seed, count):
+    s = make_space("T", "so3")
+    batch_rng, single_rng = random.Random(seed), random.Random(seed)
+    batch = coset._random_points(s, batch_rng, count)
+    singles = [random_point(s, single_rng).rep for _ in range(count)]
+    assert np.array_equal([_canonical(s, row[None])[0] for row in batch], singles)
+    assert batch_rng.getstate() == single_rng.getstate()
+
+
+def test_batched_draw_skips_a_fixed_point_in_order():
+    # conjugation by every element fixes 1, so it is rejected
+    s = make_space("C3", "sp1")
+    first, second = (0.3, 0.5, -0.2, 0.7), (-0.6, 0.1, 0.4, 0.2)
+    stub = StubRng([*first, 1.0, 0.0, 0.0, 0.0, *second])
+    got = coset._random_points(s, stub, 2)
+    want = [Quaternion(*q).normalized().normalized() for q in (first, second)]
+    assert np.array_equal(got, want)
+    assert stub.drawn == 12
+
+
+def test_batched_draw_counts_rejections_per_point():
+    s = make_space("C3", "sp1")
+    fixed, good = [1.0, 0.0, 0.0, 0.0], [0.3, 0.5, -0.2, 0.7]
+    stub = StubRng((63 * fixed + good) * 2)
+    assert len(coset._random_points(s, stub, 2)) == 2
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_batched_draw_gives_up_after_64_rejections_in_a_row(count):
+    s = make_space("C3", "sp1")
+    stub = StubRng(itertools.cycle([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(RuntimeError, match="in 64 tries"):
+        coset._random_points(s, stub, count)
+    if count == 1:
+        assert stub.drawn == 4 * 64
 
 
 def test_group_orbit_size_divides_double_order(rng):
