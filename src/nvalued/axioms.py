@@ -20,7 +20,7 @@ from .coset import (
     Base,
     CosetSpace,
     _canonical,
-    _distances,
+    _distances_to_identity,
     _match,
     _orbits,
     _product,
@@ -173,7 +173,6 @@ def check_inverse(
     """The identity class must appear among the products of a point with
     its inverse, on both sides.  Deviation is the distance from the nearest
     product entry to the identity."""
-    e = np.array(identity_orbit(space).rep)
     n = space.n
 
     def block(rng: random.Random, count: int) -> np.ndarray:
@@ -181,7 +180,7 @@ def check_inverse(
         # orbit_inverse: the orbit of the conjugate, normalized as project does
         ix = _canonical(space, normalized_rows(x * _CONJ_SIGN))
         values = np.concatenate([_product(space, x, ix), _product(space, ix, x)])
-        dist = _distances(space, e, values).reshape(2, count, n)
+        dist = _distances_to_identity(space, values).reshape(2, count, n)
         return dist.min(axis=2).max(axis=0).tolist()
 
     trial = _in_blocks(samples, 2 * n, block)

@@ -64,13 +64,19 @@ def _sample_count(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+# No two orbits are further apart than sqrt(2) on so3 (the nearer lift is
+# at most that far) or 2 on sp1, so a tolerance of sqrt(2) or more would
+# pass checks without testing anything.
+MAX_TOL = math.sqrt(2.0)
+
+
+def _tolerance(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    if not 0.0 < value < MAX_TOL:
+        raise argparse.ArgumentTypeError(f"must be > 0 and < sqrt(2), got {text!r}")
     return value
 
 
@@ -162,9 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument(
         "--tol",
-        type=_positive_float,
+        type=_tolerance,
         default=TOL_AXIOM,
-        help=f"axiom tolerance, finite and > 0 (default {TOL_AXIOM})",
+        help="axiom tolerance, > 0 and < sqrt(2): no two orbits are further "
+        f"apart on so3, so a larger one tests nothing (default {TOL_AXIOM})",
     )
 
     p_cls = sub.add_parser("classify", help="predict the shape of a quotient")

@@ -10,8 +10,12 @@ quotient they are the two lifts of the same rotation and are identified.
 A point of the quotient is an orbit.  We store one canonical representative
 per orbit: the lexicographically largest image under the full sweep (orbit
 images, plus lift signs on the rotation base), compared coordinate-wise
-with an EPS_POINT tolerance.  Products of orbits are multisets of orbits,
-one entry per group element:
+with an EPS_POINT tolerance.  Conjugation fixes the real part and rotates
+the vector part, so every image of a point shares its real part, and
+canonicalization only compares the rotated vector parts; on the rotation
+base the lift sign is fixed by the sign of the real part, except within
+EPS_POINT / 2 of the equator, where both signs compete.  Products of orbits
+are multisets of orbits, one entry per group element:
 
     product(a, b) = [ class(a * g_i(b)) for each g_i in the group ]
 
@@ -54,9 +58,11 @@ class Base(Enum):
     SO3 = "so3"
 
 
-# A sweep over many rows runs in blocks of at most this many images, so
-# that its temporaries stay in cache.
+# A sweep over many rows runs in blocks of rows that have at most this many
+# images under the acting maps, so that its temporaries stay in cache.
 SWEEP_BLOCK = 1 << 16
+
+_ONE_ROW = np.array(tuple(ONE))
 
 
 class SizeMismatch(ValueError):
@@ -69,15 +75,16 @@ class CosetSpace:
     Precomputes the action matrices once: `_act[i]` is conjugation by the
     i-th group element (either lift conjugates identically).  The canon
     family is the set of maps whose images sweep out everything a point is
-    identified with, which canonicalization maximizes over; on the rotation
-    base each point also carries the sign ambiguity of its lift, so the
-    family there includes the negated maps.  Both families are kept as
-    (k*4, 4) stacks, so that a sweep of m points is a single
-    (m, 4) x (4, k*4) matmul.  The acting stack is map-major (row 4*i + r
-    holds row r of the i-th map); the canon stack is coordinate-major (row
-    r*k + i), so that a canon sweep lays out each coordinate of the k
-    images of a point contiguously, which is the axis that
-    canonicalization and orbit distances reduce over.
+    identified with; on the rotation base each point also carries the sign
+    ambiguity of its lift, so the family there includes the negated maps.
+    Both families are kept as (k*4, 4) stacks, so that a sweep of m points
+    is a single (m, 4) x (4, k*4) matmul.  The acting stack is map-major
+    (row 4*i + r holds row r of the i-th map); the canon stack, which orbit
+    distances sweep, is coordinate-major (row r*k + i), so that each
+    coordinate of the k images of a point is contiguous, the axis the
+    distances reduce over.  Canonicalization sweeps only the vector part,
+    by the 3x3 rotation blocks of the acting maps, kept coordinate-major
+    as a (3, 3*n) stack (column c*n + i holds row c of the i-th rotation).
     """
 
     def __init__(self, group: RotationGroup, base: Base):
@@ -88,8 +95,9 @@ class CosetSpace:
         self._act = act
         self._act_stack = act.reshape(-1, 4)
         self._canon_cols = canon.transpose(1, 0, 2).reshape(-1, 4)
-        # Rows per block of a canon sweep of many points.
-        self._block_rows = max(1, SWEEP_BLOCK // len(canon))
+        self._rot_cols = act[:, 1:, 1:].transpose(2, 1, 0).reshape(3, -1)
+        # Rows per block of a sweep of many points.
+        self._block_rows = max(1, SWEEP_BLOCK // len(act))
 
     @property
     def n(self) -> int:
@@ -109,14 +117,11 @@ class CosetSpace:
         return (points @ self._act_stack.T).reshape(len(points), -1, 4)
 
     def canon_images(self, points: np.ndarray) -> np.ndarray:
-        """Full orbit sweep used for canonicalization (includes lift signs
-        on the rotation quotient); shape (len(points), k, 4), a view of the
+        """Full orbit sweep of each row of `points` (includes lift signs on
+        the rotation quotient); shape (len(points), k, 4), a view of the
         coordinate-major sweep."""
-        return self._canon_sweep(points).transpose(0, 2, 1)
-
-    def _canon_sweep(self, points: np.ndarray) -> np.ndarray:
-        """The canon sweep coordinate-major: shape (len(points), 4, k)."""
-        return (points @ self._canon_cols.T).reshape(len(points), 4, -1)
+        sweep = (points @ self._canon_cols.T).reshape(len(points), 4, -1)
+        return sweep.transpose(0, 2, 1)
 
     def representative_image(
         self, point: Quaternion, index: int, negate: bool = False
@@ -147,11 +152,11 @@ def _orbits(space: CosetSpace, reps: np.ndarray) -> list[Orbit]:
 
 
 def _blocks(space: CosetSpace, m: int) -> list[slice]:
-    """Row slices of an m-row batch, each sweeping at most SWEEP_BLOCK canon
-    images.  The blocks are of equal size (within one row), so a batch of
-    several rows never leaves a one-row block: numpy computes a one-row
-    sweep by another BLAS routine, whose last bits differ, and a block's
-    result would then depend on how the batch was cut."""
+    """Row slices of an m-row batch, each of at most `_block_rows` rows.
+    The blocks are of equal size (within one row), so a batch of several
+    rows never leaves a one-row block: numpy computes a one-row sweep by
+    another BLAS routine, whose last bits differ, and a block's result
+    would then depend on how the batch was cut."""
     count = max(1, -(-m // space._block_rows))
     edges = [m * i // count for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
@@ -159,7 +164,7 @@ def _blocks(space: CosetSpace, m: int) -> list[slice]:
 
 def _canonical(space: CosetSpace, points: np.ndarray) -> np.ndarray:
     """Canonical representative of the orbit of each row of `points`, as an
-    (m, 4) array.
+    (m, 4) array of unit quaternions.
 
     The representative is the coordinate-wise lexicographic maximum over
     the orbit sweep, decided with EPS_POINT slack so that drift cannot
@@ -176,29 +181,51 @@ def _canonical(space: CosetSpace, points: np.ndarray) -> np.ndarray:
 
 
 def _canonical_block(space: CosetSpace, points: np.ndarray) -> np.ndarray:
-    images = space._canon_sweep(points)
-    images = images / np.sqrt((images * images).sum(axis=1, keepdims=True))
+    # Every image shares the real part of its point, which therefore decides
+    # nothing on the quaternion base.  On the rotation base it decides the
+    # lift sign: the positive one wins by more than EPS_POINT unless
+    # |w| <= EPS_POINT / 2, and only those rows compare both signs.
+    q = normalized_rows(points)
+    both = np.empty(0, dtype=int)
+    if space.base is Base.SO3:
+        q = np.where(q[:, :1] < 0.0, -q, q)
+        both = np.flatnonzero(q[:, 0] <= EPS_POINT / 2)
+    m = len(q)
+    images = (q[:, 1:] @ space._rot_cols).reshape(m, 3, -1)
+    reps = np.empty_like(q)
+    reps[:, 0] = q[:, 0]
+    reps[:, 1:] = images[np.arange(m), :, _lexmax(images)]
+    if len(both):
+        w = np.broadcast_to(q[both, :1, None], (len(both), 1, images.shape[2]))
+        signed = np.concatenate([w, images[both]], axis=1)
+        signed = np.concatenate([signed, -signed], axis=2)
+        reps[both] = signed[np.arange(len(both)), :, _lexmax(signed)]
+    return reps
 
-    m, _, k = images.shape
+
+def _lexmax(images: np.ndarray) -> np.ndarray:
+    """Index of the canonical image in each row of an (m, c, k) array of
+    k images of c coordinates each: the EPS_POINT-slack lexicographic
+    maximum, then the exact lexicographic maximum among the images that
+    survive the slack filter (the last one, if several are exactly
+    equal)."""
+    m, c, k = images.shape
     alive = np.ones((m, k), dtype=bool)
-    for coord in range(4):
+    for coord in range(c):
         col = np.where(alive, images[:, coord], -np.inf)
         alive &= col >= col.max(axis=1, keepdims=True) - EPS_POINT
         if alive.sum() == m:
             # One image survives in every row, and later coordinates keep it.
-            return images.transpose(0, 2, 1)[alive]
+            return alive.argmax(axis=1)
 
-    # In some rows several images survived the slack filter; take the exact
-    # lexicographic max among them (the last one, if several are exactly
-    # equal).
     pick = alive.argmax(axis=1)
     multi = np.flatnonzero(alive.sum(axis=1) > 1)
     images_m, best = images[multi], alive[multi]
-    for coord in range(4):
+    for coord in range(c):
         col = np.where(best, images_m[:, coord], -np.inf)
         best &= col == col.max(axis=1, keepdims=True)
     pick[multi] = k - 1 - best[:, ::-1].argmax(axis=1)
-    return images[np.arange(m), :, pick]
+    return pick
 
 
 def _nearest(points: np.ndarray, images: np.ndarray) -> np.ndarray:
@@ -220,6 +247,17 @@ def _distances(
             for b in _blocks(space, len(values))
         ]
     )
+
+
+def _distances_to_identity(space: CosetSpace, values: np.ndarray) -> np.ndarray:
+    """Orbit distance from the identity class to the orbit of each row of
+    `values`, without a sweep: every conjugation fixes 1 and -1, so it is
+    |v - 1|, or min(|v - 1|, |v + 1|) on the rotation base.  (Not
+    sqrt(2 - 2 w), which cancels to about 1e-8 next to the identity.)"""
+    dist = np.sqrt(((values - _ONE_ROW) ** 2).sum(axis=1))
+    if space.base is Base.SO3:
+        dist = np.minimum(dist, np.sqrt(((values + _ONE_ROW) ** 2).sum(axis=1)))
+    return dist
 
 
 def _product(space: CosetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -318,15 +356,19 @@ def match_multisets(
     """Decide multiset equality of two orbit lists up to `tol`.
 
     Returns (matched, deviation).  When matched, deviation is the largest
-    distance inside any matched pair; when not, it is the best bound the
-    failed strategy produced (finite unless a representative is not).
+    distance inside any matched pair: the distance between the two
+    representatives for a pair within tol, the orbit distance for the
+    others; when not matched, it is the best bound the failed strategy
+    produced (finite unless a representative is not).
 
     Strategy: sort both by the rounded representative and pair positionally
-    (the common case, since representatives are canonical); verify each pair
-    with the true orbit distance.  If positional pairing fails, fall back to
-    an optimal assignment on the full orbit-distance matrix.  A cheap sound
-    rejection runs first: sorted per-coordinate values of the two rep sets
-    must agree within tol, since any true matching permutes them.
+    (the common case, since representatives are canonical).  A pair whose
+    representatives are within tol is matched, since the orbit distance is
+    at most their distance; only the other pairs are checked with the orbit
+    distance.  If positional pairing fails, fall back to an optimal
+    assignment on the full orbit-distance matrix.  A cheap sound rejection
+    runs first: sorted per-coordinate values of the two rep sets must agree
+    within tol, since any true matching permutes them.
     """
     if len(a) != len(b):
         raise SizeMismatch(f"multisets of size {len(a)} vs {len(b)}")
@@ -350,7 +392,13 @@ def _match(
         return False, gap
 
     sa, sb = ra[_rounded_order(ra)], rb[_rounded_order(rb)]
-    pair = _distances(space, sa, sb)
+    diffs = sa - sb
+    pair = np.sqrt((diffs * diffs).sum(axis=1))
+    # The plain distance bounds the orbit distance from above, so only the
+    # pairs it leaves over tol need the sweep.
+    far = np.flatnonzero(pair > tol)
+    if len(far):
+        pair[far] = _distances(space, sa[far], sb[far])
     if not (pair > tol).any():
         return True, float(pair.max())
 

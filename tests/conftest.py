@@ -29,3 +29,15 @@ def unit_quaternions(draw) -> Quaternion:
     q = Quaternion(*components)
     assume(q.norm() > 1e-3)
     return q.normalized()
+
+
+@st.composite
+def equator_quaternions(draw) -> Quaternion:
+    """Unit quaternions with real part exactly 0."""
+    components = [
+        draw(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
+        for _ in range(3)
+    ]
+    q = Quaternion(0.0, *components)
+    assume(q.norm() > 1e-3)
+    return q.normalized()

@@ -212,7 +212,7 @@ def test_verify_rejects_bad_counts(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1.5", "2", "5"])
 def test_verify_rejects_bad_tolerance(capsys, tol):
     code, out, err = run_cli(["verify", "C2", f"--tol={tol}"], capsys)
     assert code == 2

@@ -6,11 +6,12 @@ j directions, so orbits and products can be written out by hand and frozen.
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from nvalued import coset
 from nvalued.cli import _grouped
@@ -33,11 +34,13 @@ from nvalued.coset import (
     random_point,
 )
 from nvalued.quaternion import (
-    ONE, QI, QJ, QK, Quaternion, conj_action, qdist, random_unit, random_units,
+    ONE, QI, QJ, QK, Quaternion, conj_action, normalized_rows, qdist, random_unit,
+    random_units,
 )
-from nvalued.tolerances import EPS_POINT, SEPARATION_FACTOR
+from nvalued.rotgroups import catalog
+from nvalued.tolerances import EPS_POINT, SEPARATION_FACTOR, TOL_AXIOM
 
-from .conftest import make_space, unit_quaternions
+from .conftest import equator_quaternions, make_space, unit_quaternions
 
 SMALL_SPACES = [
     ("C1", "sp1"), ("C1", "so3"),
@@ -71,16 +74,47 @@ def reps(orbits):
     return np.array([o.rep for o in orbits])
 
 
+CATALOG_SPACES = [(spec.label, base.value) for spec in catalog() for base in Base]
+
+# Real parts at which the rotation base's sign fold is decided: exactly on
+# the equator, next to it, on either side of the EPS_POINT / 2 boundary
+# where the negated lift stops competing, and beyond it.
+EQUATOR_REAL_PARTS = [
+    0.0, 1e-12, -1e-12,
+    EPS_POINT / 2 - 1e-12, EPS_POINT / 2 + 1e-12,
+    -(EPS_POINT / 2 - 1e-12), -(EPS_POINT / 2 + 1e-12),
+    1e-9, -1e-9, 1e-8,
+]
+
+
+def singular_points(space, rng):
+    """Group elements, points on their rotation axes, and on the rotation
+    base points whose real part sits at the sign-fold boundary."""
+    elements = space.group.element_rows
+    axes = elements[:, 1:][np.linalg.norm(elements[:, 1:], axis=1) > 0.5e-8]
+    axes = axes / np.linalg.norm(axes, axis=1, keepdims=True)
+    points = [elements, -elements]
+    for w, r in ((0.0, 1.0), (0.6, 0.8), (-0.6, 0.8)):
+        points.append(np.column_stack([np.full(len(axes), w), r * axes]))
+    if space.base is Base.SO3:
+        for w in EQUATOR_REAL_PARTS:
+            for _ in range(5):
+                v = np.array(random_unit(rng)[1:])
+                points.append([[w, *(math.sqrt(1 - w * w) * v / np.linalg.norm(v))]])
+    return np.concatenate(points)
+
+
 class TestProject:
-    @pytest.mark.parametrize(
-        "label, base", [("C3", "sp1"), ("D2", "so3"), ("T", "so3"), ("O", "sp1")]
-    )
+    @pytest.mark.parametrize("label, base", CATALOG_SPACES)
     def test_batch_matches_per_point_reference(self, label, base, rng):
         # generic points plus singular ones, where several images survive
-        # the slack filter and the exact tie-break decides
+        # the slack filter and the exact tie-break decides, and on the
+        # rotation base the lift-sign boundary
         s = make_space(label, base)
         special = [ONE, -ONE, QI, QJ, QK, Quaternion(0.5, 0.5, 0.5, 0.5)]
-        points = np.array(special + [random_unit(rng) for _ in range(40)])
+        points = np.concatenate(
+            [special, singular_points(s, rng), random_units(rng, 200)]
+        )
         want = np.array([reference_canonical(s, p) for p in points])
         # a batched sweep may round differently from a one-row sweep
         assert np.abs(_canonical(s, points) - want).max() <= 1e-15
@@ -89,7 +123,11 @@ class TestProject:
     def test_blocked_canonicalization_equals_one_block(self, offset):
         s = make_space("I", "so3")
         m = s._block_rows + offset
+        assert s._block_rows == coset.SWEEP_BLOCK // s.n
         points = random_units(random.Random(offset), m)
+        # some rows on the equator, where both lift signs are compared
+        points[::97, 0] = 0.0
+        points = normalized_rows(points)
         blocks = coset._blocks(s, m)
         assert [i for b in blocks for i in range(m)[b]] == list(range(m))
         assert max(b.stop - b.start for b in blocks) <= s._block_rows
@@ -136,6 +174,23 @@ class TestProject:
         for i in range(len(s.group)):
             moved = s.representative_image(w, i)
             assert qdist(project(s, moved).rep, base_rep) < 1e-9
+
+    @pytest.mark.parametrize("label", ["C2", "D3", "T", "I"])
+    @pytest.mark.parametrize("base", ["sp1", "so3"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_projection_is_invariant_under_every_element(self, label, base, data):
+        # on so3 also exactly on the equator, where the sign fold compares
+        # both lifts
+        s = make_space(label, base)
+        points = unit_quaternions()
+        if base == "so3":
+            points = points | equator_quaternions()
+        x = data.draw(points)
+        want = project(s, x).rep
+        for i in range(s.n):
+            moved = project(s, s.representative_image(x, i))
+            assert qdist(moved.rep, want) <= TOL_AXIOM
 
 
 def test_rep_jump_at_the_slack_boundary_is_absorbed_by_matching():
@@ -329,6 +384,32 @@ class TestMultisets:
         assert len(calls) == 1
         assert ok and dev == pytest.approx(2e-10, rel=1e-3)
 
+    def test_positional_pairs_within_tol_are_not_swept(self, rng, monkeypatch):
+        s = make_space("T", "so3")
+        swept = count_swept_rows(monkeypatch)
+        x, y, z = (np.array([random_point(s, rng).rep]) for _ in range(3))
+        left = coset._product_left(s, x, y, z)
+        right = coset._product_right(s, x, y, z)
+        ok, dev = coset._match(s, left, right, 1e-6)
+        assert ok and dev < 1e-12
+        assert swept == []
+
+    def test_one_orbit_pair_beyond_tol_is_swept_alone(self, monkeypatch):
+        # On C2@sp1 the images of (0.6, x, -6e-7, 0.8) are (0.6, -x, 6e-7,
+        # 0.8): across 2x = EPS_POINT the representative jumps between them,
+        # 1.2e-6 apart, so only the orbit distance sees that they match.
+        s = make_space("C2", "sp1")
+        above = project(s, Quaternion(0.6, 5.001e-10, -6e-7, 0.8)).rep
+        below = project(s, Quaternion(0.6, 4.999e-10, -6e-7, 0.8)).rep
+        assert qdist(above, below) > 1e-6
+        other = project(s, Quaternion(0.3, 0.1, -0.2, 0.5).normalized()).rep
+        swept = count_swept_rows(monkeypatch)
+        ok, dev = coset._match(
+            s, np.array([above, other]), np.array([other, below]), 1e-6
+        )
+        assert swept == [1]
+        assert ok and dev <= 1e-12
+
     def test_grouped_multiplicities(self, rng):
         s = make_space("C2", "sp1")
         e = identity_orbit(s)
@@ -336,6 +417,31 @@ class TestMultisets:
         grouped = _grouped(orbit_product(e, x))
         assert len(grouped) == 1
         assert grouped[0][1] == 2
+
+
+def count_swept_rows(monkeypatch):
+    """Record how many rows each coset._distances call sweeps."""
+    swept = []
+    distances = coset._distances
+
+    def counting(space, points, values):
+        swept.append(len(values))
+        return distances(space, points, values)
+
+    monkeypatch.setattr(coset, "_distances", counting)
+    return swept
+
+
+@pytest.mark.parametrize("base", ["sp1", "so3"])
+def test_identity_distance_matches_the_orbit_sweep(base, rng):
+    s = make_space("O", base)
+    e = np.array(tuple(ONE))
+    step = np.array([[math.cos(1e-10), math.sin(1e-10), 0.0, 0.0]])
+    values = np.concatenate(
+        [random_units(rng, 200), [e, -e], step, -step, step * [1, -1, 1, 1]]
+    )
+    closed = coset._distances_to_identity(s, values)
+    assert np.abs(closed - coset._distances(s, e, values)).max() <= 1e-15
 
 
 def test_random_point_respects_separation_floor(rng):
