@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .tolerances import EPS_POINT, EPS_UNIT
+from .tolerances import EPS_POINT
 
 
 class Vec3(NamedTuple):
@@ -82,9 +82,6 @@ class Quaternion(NamedTuple):
         """Multiplicative inverse; equals the conjugate for unit quaternions."""
         n2 = self.norm_squared()
         return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
-
-    def is_unit(self, tol: float = EPS_UNIT) -> bool:
-        return abs(self.norm() - 1.0) <= tol
 
     def __mul__(self, other):  # Hamilton product
         if isinstance(other, Quaternion):

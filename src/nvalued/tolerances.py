@@ -7,9 +7,6 @@ constants so the drift budget lives in one place.
 # Point-equality granularity on the unit sphere and on SO(3).
 EPS_POINT = 1e-9
 
-# Allowed |norm - 1| for a quaternion that has just been renormalized.
-EPS_UNIT = 1e-12
-
 # Matched-pair budget for multiset comparisons and the law-checking suites.
 # Looser than EPS_POINT: a product of three points plus canonicalization
 # compounds rounding error.

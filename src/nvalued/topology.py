@@ -26,6 +26,7 @@ from .coset import Base
 from .quaternion import (
     Quaternion,
     Vec3,
+    canonical_sign,
     conj_matrix,
     random_units,
     rotation_of,
@@ -35,9 +36,8 @@ from .rotgroups import (
     GroupSpec,
     RotationGroup,
     build_group,
-    distinct_rows,
     has_half_turn,
-    same_point,
+    match_rows,
 )
 from .tolerances import EPS_POINT, TOL_RE
 
@@ -173,9 +173,10 @@ class SingularOrbitData:
 
 
 def singular_orbits(group: RotationGroup) -> SingularOrbitData:
-    """Brute-force branching data: the axis endpoints of every nontrivial
+    """The branching data: the axis endpoints of every nontrivial
     rotation, grouped into orbits of the group's action on the sphere,
-    each with its stabilizer order.
+    each with its stabilizer order: 1 plus the number of non-identity
+    elements whose axis lies on the point's line.
 
     Sanity-checks orbit-stabilizer consistency (|orbit| * stabilizer =
     group order, identical stabilizer across an orbit) and raises
@@ -186,26 +187,23 @@ def singular_orbits(group: RotationGroup) -> SingularOrbitData:
     length = np.sqrt((imag * imag).sum(axis=1))
     if (length <= EPS_POINT).any():
         raise IdentityViolation(f"non-identity element of {group.spec} has no axis")
-    axes = imag / length[:, None]
-    points = distinct_rows(np.stack([axes, -axes], axis=1).reshape(-1, 3))
+    # one direction per line, then one representative axis per line
+    axes = canonical_sign(imag / length[:, None])
+    lines, count = np.unique(match_rows(axes, axes), return_counts=True)
+    points = np.concatenate([axes[lines], -axes[lines]])
+    stabilizer = np.tile(1 + count, 2)
 
-    # images[i, g]: the i-th axis point rotated by the g-th element
     rotations = conj_matrix(group.element_rows)[:, 1:, 1:]
-    images = np.einsum("gij,pj->pgi", rotations, points)
-    images /= np.sqrt((images * images).sum(axis=2, keepdims=True))
-    stabilizer = same_point(images, points[:, None]).sum(axis=1)
-
     unassigned = np.ones(len(points), dtype=bool)
     orbits: list[SphereOrbit] = []
     while unassigned.any():
         start = unassigned.argmax()
-        orbit = distinct_rows(images[start])
-        on_axis = same_point(orbit[:, None], points[None])
-        unassigned &= ~on_axis.any(axis=0)
+        hits = match_rows(points, rotations @ points[start])
+        orbit = np.unique(hits[hits >= 0])
+        unassigned[orbit] = False
         unassigned[start] = False
         # only the identity fixes a point off every rotation axis
-        found = on_axis.any(axis=1)
-        stabs = set(np.where(found, stabilizer[on_axis.argmax(axis=1)], 1).tolist())
+        stabs = set(np.where(hits >= 0, stabilizer[hits], 1).tolist())
         if len(stabs) != 1:
             raise IdentityViolation(
                 f"{group.spec}: stabilizer orders differ along one orbit: {stabs}"
@@ -216,7 +214,7 @@ def singular_orbits(group: RotationGroup) -> SingularOrbitData:
                 f"{group.spec}: orbit of size {len(orbit)} with stabilizer {nu} "
                 f"violates orbit-stabilizer for order {n}"
             )
-        ordered = sorted(map(Vec3._make, orbit.tolist()), key=rounded_key)
+        ordered = sorted(map(Vec3._make, points[orbit].tolist()), key=rounded_key)
         orbits.append(SphereOrbit(tuple(ordered), nu))
 
     orbits.sort(key=lambda o: (o.stabilizer_order, rounded_key(o.points[0])))

@@ -1,12 +1,13 @@
 import random
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
 
 from nvalued.coset import Base, CosetSpace
-from nvalued.quaternion import Quaternion
-from nvalued.rotgroups import GroupSpec, build_group
+from nvalued.quaternion import Quaternion, left_matrix
+from nvalued.rotgroups import GroupSpec, RotationGroup, build_group
 
 
 @lru_cache(maxsize=None)
@@ -41,3 +42,19 @@ def equator_quaternions(draw) -> Quaternion:
     q = Quaternion(0.0, *components)
     assume(q.norm() > 1e-3)
     return q.normalized()
+
+
+def closure_defect(group: RotationGroup, chunk: int = 1024) -> float:
+    """Max distance from any pairwise cover product to the nearest cover
+    element: the closure certificate of a cover.  Zero up to drift for a
+    genuine group; cubic in the order."""
+    cover = np.array([tuple(q) for q in group.cover])
+    mats = left_matrix(cover)
+    products = np.einsum("aij,bj->abi", mats, cover).reshape(-1, 4)
+    worst = 0.0
+    for start in range(0, len(products), chunk):
+        block = products[start : start + chunk]
+        diffs = block[:, None, :] - cover[None, :, :]
+        dist = np.sqrt((diffs * diffs).sum(axis=2)).min(axis=1)
+        worst = max(worst, float(dist.max()))
+    return worst

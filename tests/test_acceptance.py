@@ -20,7 +20,7 @@ from nvalued.axioms import (
 )
 from nvalued.coset import Base, CosetSpace
 from nvalued.quaternion import Quaternion, conj_matrix, qdist, rotation_of
-from nvalued.rotgroups import GroupSpec, build_group, catalog, closure_defect
+from nvalued.rotgroups import GroupSpec, build_group, catalog
 from nvalued.topology import (
     check_suspension,
     classify,
@@ -30,6 +30,8 @@ from nvalued.topology import (
     solve_antipodal,
     tau_has_fixed_points,
 )
+
+from .conftest import closure_defect
 
 CATALOG_ORDERS = {
     "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6, "C7": 7, "C8": 8,

@@ -1,9 +1,12 @@
 """Group enumeration: orders, covers, closure, element orders, parity."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
+from nvalued import rotgroups
 from nvalued.axioms import corrupted_copy
 from nvalued.quaternion import (
     ONE,
@@ -11,21 +14,27 @@ from nvalued.quaternion import (
     QK,
     Quaternion,
     canonical_sign,
+    left_matrix,
     qdist,
     qmul,
     rotation_of,
 )
 from nvalued.rotgroups import (
+    GOLDEN,
     MAX_ORDER,
     ClosureFailure,
     GroupSpec,
     NotInGroup,
     build_group,
     catalog,
-    closure_defect,
     element_order,
     has_half_turn,
+    match_rows,
+    same_point,
 )
+from nvalued.tolerances import EPS_POINT
+
+from .conftest import closure_defect
 
 CATALOG_ORDERS = {
     "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6, "C7": 7, "C8": 8,
@@ -47,10 +56,45 @@ def test_orders_and_cover_sizes(label, order):
     assert g.spec.order == order
 
 
-@pytest.mark.parametrize("label", CATALOG_ORDERS)
+@pytest.mark.parametrize("label", [*CATALOG_ORDERS, "C96", "D54"])
 def test_cover_closed_under_product(label):
     g = build_group(GroupSpec.parse(label))
     assert closure_defect(g) < 1e-9
+
+
+@pytest.mark.parametrize("label", ["C1000", "D500"])
+def test_large_cover_is_the_generated_group(label):
+    # A set that holds 1 and is mapped into itself by left multiplication
+    # with the generators holds the whole group they generate; with 2n
+    # distinct rows, the order of that binary group, it is that group.
+    # Linear in the cover, where closure_defect is cubic.
+    g = build_group(GroupSpec.parse(label))
+    n = g.spec.param
+    cover = np.array(g.cover)
+    gens = [(math.cos(math.pi / n), 0.0, 0.0, math.sin(math.pi / n))]
+    if g.spec.family == "D":
+        gens.append(tuple(QI))
+    for gen in gens:
+        moved = cover @ left_matrix(gen).T
+        assert (match_rows(cover, moved) >= 0).all()
+    assert (match_rows(cover, np.array([ONE])) >= 0).all()
+    assert len(cover) == 2 * len(g)
+    assert (match_rows(cover, cover) == np.arange(len(cover))).all()
+
+
+def test_icosahedral_cover_holds_the_odd_permutations_only():
+    # the 96 units (+-GOLDEN, +-1, +-1/GOLDEN, 0) / 2 in odd or in even
+    # coordinate order: the package's I is the mirror of the usual choice
+    cover = np.array(build_group(GroupSpec.parse("I")).cover)
+    halves = (GOLDEN / 2.0, 0.5, 1.0 / (2.0 * GOLDEN), 0.0)
+    found = {0: 0, 1: 0}
+    for perm in itertools.permutations(range(4)):
+        parity = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            row = np.zeros(4)
+            row[list(perm)] = [c * s for c, s in zip(halves, (*signs, 1.0))]
+            found[parity] += bool(same_point(cover, row, 1e-12).any())
+    assert found == {0: 0, 1: 96}
 
 
 @pytest.mark.parametrize("label", CATALOG_ORDERS)
@@ -219,13 +263,12 @@ def test_element_ordering_deterministic():
     assert a.cover == b.cover
 
 
-def test_closure_failure_on_bad_generators():
-    # a 1-radian rotation does not close up within a small budget
-    from nvalued.rotgroups import _mulclose
-
-    gen = Quaternion(math.cos(0.5), 0.0, 0.0, math.sin(0.5))
+def test_closure_failure_on_bad_generators(monkeypatch):
+    # a cover whose signs fold to fewer rotations than the group order
+    c3 = rotgroups._cover(GroupSpec.parse("C3"))
+    monkeypatch.setattr(rotgroups, "_cover", lambda spec: c3)
     with pytest.raises(ClosureFailure):
-        _mulclose([gen, -ONE], limit=8)
+        build_group.__wrapped__(GroupSpec.parse("C4"))
 
 
 def test_index_of_accepts_either_lift():
@@ -242,3 +285,43 @@ def test_index_of_rejects_slightly_rotated_elements(label):
     for q in g.elements:
         with pytest.raises(NotInGroup):
             g.index_of(qmul(q, tweak).normalized())
+
+
+def test_contains_either_lift_at_a_loose_tolerance():
+    # canonical_sign would flip this lift to w = +2e-9, z = -1, two units
+    # away from the stored half-turn; the rotation itself is 2e-9 away
+    g = build_group(GroupSpec.parse("C2"))
+    q = Quaternion(-2e-9, 0.0, 0.0, 1.0).normalized()
+    assert g.contains(q, tol=1e-6)
+    assert g.index_of(q, tol=1e-6) == g.index_of(QK)
+    assert not g.contains(q)
+
+
+def test_match_rows_agrees_with_every_pair():
+    rng = np.random.default_rng(0)
+    points = rng.normal(size=(60, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    probe = rotgroups._PROBE[:3] / np.linalg.norm(rotgroups._PROBE[:3])
+    across = np.cross(probe, points[:10])
+    across /= np.linalg.norm(across, axis=1, keepdims=True)
+    # same projection, 1e-6 away: distinct points that share a window
+    shadows = points[:10] + 1e-6 * across
+    queries = np.concatenate([
+        points + 1e-16 * rng.normal(size=points.shape),
+        shadows,
+        points[:10] + 0.5 * EPS_POINT * across,
+        rng.normal(size=(10, 3)),
+    ])
+    pairs = same_point(queries[:, None], points[None])
+    found = match_rows(points, queries)
+    for q, i in enumerate(found):
+        if i < 0:
+            assert not pairs[q].any()
+        else:
+            assert pairs[q, i]
+    assert (found[:60] >= 0).all() and (found[60:70] < 0).all()
+    assert (found[70:80] >= 0).all()
+    # with the shadows and duplicates among the points, every query but the
+    # last ten has a match, however the window orders them
+    points = np.concatenate([points, shadows, points[:5]])
+    assert (match_rows(points, queries)[:80] >= 0).all()

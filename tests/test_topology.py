@@ -170,7 +170,7 @@ class TestSingularOrbits:
         from nvalued.axioms import corrupted_copy
 
         bad = corrupted_copy(build_group(GroupSpec.parse("D3")), extra_angle=0.37)
-        with pytest.raises(IdentityViolation):
+        with pytest.raises(IdentityViolation, match="stabilizer orders differ"):
             riemann_hurwitz_check(bad)
 
 
