@@ -361,13 +361,14 @@ def match_multisets(
     others; when not matched, it is the best bound the failed strategy
     produced (finite unless a representative is not).
 
-    Strategy: reject if the sorted real parts (|w| on so3), constant on an
-    orbit, differ by more than tol.  Else sort both by the rounded
-    representative and pair positionally (the common case, since
-    representatives are canonical), taking the orbit distance only where
-    the representatives are over tol apart.  If that fails, re-pair by an
-    optimal assignment on orbit distances, among the rows whose real parts
-    let them trade partners with a failed pair.
+    Strategy: sort both by the rounded representative and pair positionally
+    (the common case, since representatives are canonical).  A pair whose
+    representatives are within tol is matched, since the orbit distance is
+    at most their distance; only the other pairs are checked with the orbit
+    distance.  If positional pairing fails, fall back to an optimal
+    assignment on the full orbit-distance matrix.  A cheap sound rejection
+    runs first: sorted per-coordinate values of the two rep sets must agree
+    within tol, since any true matching permutes them.
     """
     if len(a) != len(b):
         raise SizeMismatch(f"multisets of size {len(a)} vs {len(b)}")
@@ -383,44 +384,30 @@ def _match(
 ) -> tuple[bool, float]:
     """match_multisets on two non-empty (m, 4) arrays of canonical
     representatives."""
-    m = len(ra)
-    w = np.concatenate([ra[:, 0], rb[:, 0]])
-    w = np.abs(w) if space.base is Base.SO3 else w
-    gap = float(np.abs(np.sort(w[:m]) - np.sort(w[m:])).max())
-    if not gap <= tol:
-        # Sound, unlike sorted columns of x, y, z, which can jump across the
-        # EPS_POINT slack within one orbit.  A NaN is rejected here too.
+    gap = float(np.abs(np.sort(ra, axis=0) - np.sort(rb, axis=0)).max())
+    if not gap <= 2.0 * tol:
+        # Sound rejection: a genuine matching within tol moves every
+        # coordinate by at most tol, so sorted columns differ by <= 2 tol.
+        # A NaN representative is rejected here too.
         return False, gap
 
-    oa, ob = _rounded_order(ra), _rounded_order(rb)
-    sa, sb = ra[oa], rb[ob]
-    pair = np.linalg.norm(sa - sb, axis=1)
+    sa, sb = ra[_rounded_order(ra)], rb[_rounded_order(rb)]
+    diffs = sa - sb
+    pair = np.sqrt((diffs * diffs).sum(axis=1))
     # The plain distance bounds the orbit distance from above, so only the
     # pairs it leaves over tol need the sweep.
     far = np.flatnonzero(pair > tol)
     if len(far):
         pair[far] = _distances(space, sa[far], sb[far])
-    bad = pair > tol
-    if not bad.any():
+    if not (pair > tol).any():
         return True, float(pair.max())
 
-    # Partners lie in one run of real parts chained at gaps of at most tol;
-    # after the rejection each run holds as many rows of either side.  A
-    # failed pair that is its whole run is final; other runs with one are
-    # re-paired.
-    order = np.argsort(w, kind="stable")
-    run = np.empty(2 * m, dtype=int)
-    run[order] = np.cumsum(np.diff(w[order], prepend=w[order[0]]) > tol)
-    run_a, run_b = run[oa], run[m + ob]
-    alone = (run_a == run_b) & (np.bincount(run)[run_a] == 2) & bad
-    if alone.any():
-        return False, float(pair[alone].max())
-    redo = np.bincount(np.concatenate([run_a[bad], run_b[bad]]), minlength=2 * m) > 0
-    ia, ib = np.flatnonzero(redo[run_a]), np.flatnonzero(redo[run_b])
-    dm = np.stack([_nearest(sa[ia], im) for im in space.canon_images(sb[ib])], axis=1)
-    dm[run_a[ia][:, None] != run_b[ib][None, :]] = np.inf
+    # Positional pairing failed; find the optimal matching.  Distances are
+    # orbit distances, i.e. min over canon images of either side.
+    images_b = space.canon_images(rb)
+    dm = np.stack([_nearest(ra, images) for images in images_b], axis=1)
     rows, cols = linear_sum_assignment(dm)
-    dev = max(float(dm[rows, cols].max()), float(pair[~redo[run_a]].max(initial=0.0)))
+    dev = float(dm[rows, cols].max())
     return dev <= tol, dev
 
 

@@ -167,13 +167,11 @@ def same_point(a: np.ndarray, b: np.ndarray, tol: float = EPS_POINT) -> np.ndarr
 _PROBE = np.array([0.8, 0.5 * math.sqrt(2.0), 1.0 / math.pi, math.e / 10.0])
 
 
-def match_rows(
-    points: np.ndarray, queries: np.ndarray, tol: float = EPS_POINT
-) -> np.ndarray:
+def match_rows(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """For each row of `queries`, the index of a row of `points` that is
-    the same point, or -1.  Rows within `tol` project within `tol` of each
-    other on a unit direction, so after one sort of `points` along it a
-    query meets only the few rows projecting near it: O(m log m).  Of
+    the same point, or -1.  Rows within EPS_POINT project within EPS_POINT
+    of each other on a unit direction, so after one sort of `points` along
+    it a query meets only the few rows projecting near it: O(m log m).  Of
     several matches the lowest along the direction wins, so all rows of a
     tight cluster name the same one."""
     probe = _PROBE[: points.shape[1]] / np.linalg.norm(_PROBE[: points.shape[1]])
@@ -181,13 +179,13 @@ def match_rows(
     order = np.argsort(along, kind="stable")
     along, at = along[order], queries @ probe
     # twice the tolerance, so rounding in the projections cannot drop a match
-    lo = np.searchsorted(along, at - 2.0 * tol, side="left")
-    hi = np.searchsorted(along, at + 2.0 * tol, side="right")
+    lo = np.searchsorted(along, at - 2.0 * EPS_POINT, side="left")
+    hi = np.searchsorted(along, at + 2.0 * EPS_POINT, side="right")
     found = np.full(len(queries), -1)
     pending = np.flatnonzero(lo < hi)
     while len(pending):
         idx = order[lo[pending]]
-        hit = same_point(points[idx], queries[pending], tol)
+        hit = same_point(points[idx], queries[pending])
         found[pending[hit]] = idx[hit]
         lo[pending] += 1
         pending = pending[~hit & (lo[pending] < hi[pending])]
