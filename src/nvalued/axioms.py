@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +43,11 @@ from .tolerances import TOL_AXIOM
 # A block of trials holds at most this many product values (or one trial,
 # when a trial alone has more), so memory does not grow with the trial count.
 BLOCK_VALUES = 1 << 16
+
+# No two orbits are further apart than sqrt(2) on so3 (the nearer lift is
+# at most that far) or 2 on sp1, so a tolerance of sqrt(2) or more would
+# pass checks without testing anything.
+MAX_TOL = math.sqrt(2.0)
 
 AXIOM_NAMES = ("identity", "inverse", "associativity", "well_defined")
 
@@ -85,55 +90,41 @@ def _run_trials(
     trials: int,
     seed: int,
     tol: float,
-    trial_fn: Callable[[random.Random], float],
+    values_per_trial: int,
+    block_fn: Callable[[random.Random, int], Sequence[float]],
 ) -> AxiomReport:
-    """Run `trial_fn` repeatedly; it returns the deviation of one trial.
+    """Run `trials` trials a block at a time: `block_fn(rng, count)` draws
+    the next `count` trials from one seeded rng, in the order the trials
+    would draw them one by one, and returns their deviations.  A block
+    holds at most BLOCK_VALUES product values, or one trial.
+
     A trial fails unless its deviation is at most `tol`, so a non-finite
-    deviation is a failure, and it is reported as an infinite one."""
+    deviation is a failure, and it is reported as an infinite one.  A check
+    with no trial, or with a tolerance that no two orbits can exceed, would
+    pass without testing anything, so both raise ValueError."""
+    if trials < 1:
+        raise ValueError(f"{axiom} needs at least one trial, got {trials}")
+    if not 0.0 < tol < MAX_TOL:
+        raise ValueError(f"tolerance must be > 0 and < sqrt(2), got {tol!r}")
     rng = random.Random(seed)
-    failures = 0
-    worst = 0.0
-    for _ in range(trials):
-        dev = trial_fn(rng)
-        worst = max(worst, dev if math.isfinite(dev) else math.inf)
-        if not dev <= tol:
-            failures += 1
+    size = max(1, BLOCK_VALUES // values_per_trial)
+    dev = np.concatenate(
+        [
+            np.asarray(block_fn(rng, min(size, trials - start)), dtype=float)
+            for start in range(0, trials, size)
+        ]
+    )
+    worst = np.where(np.isfinite(dev), dev, np.inf).max()
     return AxiomReport(
         space=space.label,
         axiom=axiom,
         trials=trials,
-        failures=failures,
-        max_deviation=worst,
+        failures=int(np.count_nonzero(~(dev <= tol))),
+        max_deviation=max(0.0, float(worst)),
         tie_resamples=0,
         seed=seed,
         tolerance=tol,
     )
-
-
-def _in_blocks(
-    trials: int,
-    values_per_trial: int,
-    block_fn: Callable[[random.Random, int], Sequence[float]],
-) -> Callable[[random.Random], float]:
-    """The trial function for _run_trials of a check that computes its
-    trials a block at a time: `block_fn(rng, count)` draws the next `count`
-    trials from `rng` in the order the trials would draw them one by one,
-    and returns their deviations.  A block holds at most BLOCK_VALUES
-    product values, or one trial."""
-    size = max(1, BLOCK_VALUES // values_per_trial)
-    stream = None
-
-    def deviations(rng: random.Random) -> Iterator[float]:
-        for start in range(0, trials, size):
-            yield from block_fn(rng, min(size, trials - start))
-
-    def trial(rng: random.Random) -> float:
-        nonlocal stream
-        if stream is None:
-            stream = deviations(rng)
-        return next(stream)
-
-    return trial
 
 
 def _sample(space: CosetSpace, rng: random.Random, count: int) -> np.ndarray:
@@ -163,8 +154,7 @@ def check_identity(
             for xo, values in zip(_orbits(space, x), entries)
         ]
 
-    trial = _in_blocks(samples, 2 * n, block)
-    return _run_trials(space, "identity", samples, seed, tol, trial)
+    return _run_trials(space, "identity", samples, seed, tol, 2 * n, block)
 
 
 def check_inverse(
@@ -183,8 +173,7 @@ def check_inverse(
         dist = _distances_to_identity(space, values).reshape(2, count, n)
         return dist.min(axis=2).max(axis=0).tolist()
 
-    trial = _in_blocks(samples, 2 * n, block)
-    return _run_trials(space, "inverse", samples, seed, tol, trial)
+    return _run_trials(space, "inverse", samples, seed, tol, 2 * n, block)
 
 
 def default_triples(space: CosetSpace) -> int:
@@ -211,8 +200,9 @@ def check_associativity(
         right = _product_right(space, x, y, z).reshape(count, n * n, 4)
         return [_match(space, a, b, tol)[1] for a, b in zip(left, right)]
 
-    trial = _in_blocks(triples, 2 * n * n, block)
-    return _run_trials(space, "associativity", triples, seed, tol, trial)
+    return _run_trials(
+        space, "associativity", triples, seed, tol, 2 * n * n, block
+    )
 
 
 def check_well_defined(
@@ -240,8 +230,7 @@ def check_well_defined(
         got = _product(space, a, b).reshape(count, n, 4)
         return [_match(space, p, q, tol)[1] for p, q in zip(want, got)]
 
-    trial = _in_blocks(samples, 2 * n, block)
-    return _run_trials(space, "well_defined", samples, seed, tol, trial)
+    return _run_trials(space, "well_defined", samples, seed, tol, 2 * n, block)
 
 
 def _maybe_negate(space: CosetSpace, rng: random.Random) -> bool:
@@ -276,11 +265,7 @@ def corrupted_copy(group: RotationGroup, extra_angle: float = 0.1) -> RotationGr
     tweak = Quaternion(
         math.cos(extra_angle / 2.0), 0.0, 0.0, math.sin(extra_angle / 2.0)
     )
-    elements = list(group.elements)
-    for i, g in enumerate(elements):
-        if i == group.identity_index:
-            continue
-        elements[i] = canonical_sign(qmul(g, tweak).normalized())
-        break
-    cover = [q for g in elements for q in (g, -g)]
-    return RotationGroup(group.spec, elements, cover, group.identity_index)
+    rows = group.element_rows.copy()
+    i = 1 if group.identity_index == 0 else 0
+    rows[i] = canonical_sign(qmul(group.elements[i], tweak).normalized())
+    return RotationGroup(group.spec, rows)

@@ -15,7 +15,7 @@ import math
 import sys
 from typing import Optional
 
-from .axioms import AxiomReport, run_all
+from .axioms import MAX_TOL, AxiomReport, run_all
 from .coset import Base, CosetSpace, Orbit, orbit_distance, orbit_product, project
 from .quaternion import Quaternion
 from .rotgroups import GroupSpec, build_group, catalog, element_order
@@ -62,12 +62,6 @@ def _sample_count(text: str) -> int:
     if value > MAX_SAMPLES:
         raise argparse.ArgumentTypeError(f"at most {MAX_SAMPLES} samples, got {value}")
     return value
-
-
-# No two orbits are further apart than sqrt(2) on so3 (the nearer lift is
-# at most that far) or 2 on sp1, so a tolerance of sqrt(2) or more would
-# pass checks without testing anything.
-MAX_TOL = math.sqrt(2.0)
 
 
 def _tolerance(text: str) -> float:

@@ -62,6 +62,9 @@ class Base(Enum):
 # images under the acting maps, so that its temporaries stay in cache.
 SWEEP_BLOCK = 1 << 16
 
+# Rejections in a row after which random sampling gives up on a space.
+MAX_TRIES = 64
+
 _ONE_ROW = np.array(tuple(ONE))
 
 
@@ -415,25 +418,21 @@ def multiset_equal(a: list[Orbit], b: list[Orbit], tol: float) -> bool:
     return match_multisets(a, b, tol)[0]
 
 
-def random_point(
-    space: CosetSpace, rng: random.Random, max_tries: int = 64
-) -> Orbit:
+def random_point(space: CosetSpace, rng: random.Random) -> Orbit:
     """A random orbit whose sweep images are pairwise well separated, so
     canonicalization and matching are stable.  Rejection-samples until the
     minimum pairwise distance exceeds SEPARATION_FACTOR * EPS_POINT, and
-    raises RuntimeError after `max_tries` rejections in a row."""
-    points = _random_points(space, rng, 1, max_tries)
+    raises RuntimeError after MAX_TRIES rejections in a row."""
+    points = _random_points(space, rng, 1)
     (x,) = _orbits(space, _canonical(space, points))
     return x
 
 
-def _random_points(
-    space: CosetSpace, rng: random.Random, count: int, max_tries: int = 64
-) -> np.ndarray:
+def _random_points(space: CosetSpace, rng: random.Random, count: int) -> np.ndarray:
     """The unit quaternions that `count` successive random_point calls
     canonicalize, as a (count, 4) array, drawn from the same candidate
     stream: candidates come from random_units, a rejected one is skipped,
-    and `max_tries` rejections in a row raise RuntimeError.  Each round
+    and MAX_TRIES rejections in a row raise RuntimeError.  Each round
     draws one candidate per missing point, so no candidate past the last
     accepted one is drawn."""
     floor = SEPARATION_FACTOR * EPS_POINT
@@ -448,10 +447,10 @@ def _random_points(
         keep = _nearest(q, others) > floor
         for ok in keep.tolist():
             run = 0 if ok else run + 1
-            if run == max_tries:
+            if run == MAX_TRIES:
                 raise RuntimeError(
                     f"could not sample a well-separated point of {space.label} "
-                    f"in {max_tries} tries"
+                    f"in {MAX_TRIES} tries"
                 )
         accepted.append(q[keep])
         missing -= int(keep.sum())

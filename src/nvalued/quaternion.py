@@ -186,7 +186,10 @@ def random_units(rng, m: int) -> np.ndarray:
     """`m` uniform points of S^3 as an (m, 4) array: bit for bit the points
     of `m` successive random_unit(rng) calls, drawn in batches.  Each round
     draws 4 gaussians per missing point, drops the near-zero 4-tuples that
-    random_unit would reject, and normalizes with the same float operations."""
+    random_unit would reject, and normalizes with the same float operations.
+    `m` = 0 gives a (0, 4) array and a negative `m` raises ValueError."""
+    if m < 0:
+        raise ValueError(f"cannot draw {m} points")
     batches = []
     missing = m
     while missing:

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +46,8 @@ _SPEC_RE = re.compile(r"^([CD])([0-9]+)$|^([TOI])$")
 
 class ClosureFailure(RuntimeError):
     """A group or an element does not close up: the cover folds to the
-    wrong number of rotations, or no power of an element is the identity."""
+    wrong number of rotations, no element is the identity, or no power of
+    an element is the identity."""
 
 
 class NotInGroup(ValueError):
@@ -193,25 +194,23 @@ def match_rows(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 class RotationGroup:
-    """A finite subgroup of the rotation group.
+    """A finite subgroup of the rotation group, given by `rows`: one
+    canonical-sign lift per rotation as an (n, 4) array, one of them the
+    identity (else ClosureFailure).
 
-    `elements` holds one canonical-sign lift per rotation, sorted, and
-    `element_rows` the same as an (n, 4) array; `cover` holds both lifts of
-    every element.  Instances are immutable by convention and safe to share.
+    `element_rows` keeps the rows in the given order and `elements` holds
+    them as Quaternions; `cover`, both lifts of every element, is derived
+    from them.  Instances are immutable by convention and safe to share.
     """
 
-    def __init__(
-        self,
-        spec: GroupSpec,
-        elements: list[Quaternion],
-        cover: list[Quaternion],
-        identity_index: int,
-    ):
+    def __init__(self, spec: GroupSpec, rows: Sequence[Sequence[float]]):
         self.spec = spec
-        self.elements = list(elements)
-        self.element_rows = np.array(self.elements, dtype=float)
-        self.cover = list(cover)
-        self.identity_index = identity_index
+        self.element_rows = np.array(rows, dtype=float)
+        self.elements = list(map(Quaternion._make, self.element_rows.tolist()))
+        hits = np.flatnonzero(same_point(self.element_rows, np.array(ONE)))
+        if not len(hits):
+            raise ClosureFailure(f"{spec.label}: no element is the identity")
+        self.identity_index = int(hits[0])
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -222,6 +221,13 @@ class RotationGroup:
     @property
     def identity(self) -> Quaternion:
         return self.elements[self.identity_index]
+
+    @property
+    def cover(self) -> list[Quaternion]:
+        """The binary cover: the element rows, then their negations."""
+        # + 0.0 turns the negative zeros of negated rows into zeros
+        rows = np.concatenate([self.element_rows, -self.element_rows]) + 0.0
+        return list(map(Quaternion._make, rows.tolist()))
 
     def index_of(self, g: Quaternion, tol: float = EPS_POINT) -> int:
         """Index of the rotation covered by g, or NotInGroup.  Either lift
@@ -245,7 +251,7 @@ class RotationGroup:
 def build_group(spec: GroupSpec) -> RotationGroup:
     """The group for `spec`, from the closed form of its binary cover, whose
     signs must fold to exactly the group order of rotations (else
-    ClosureFailure); the stored cover is those rotations' two lifts each."""
+    ClosureFailure); their lifts are stored sorted."""
     n = spec.order
     # + 0.0 turns the negative zeros of negated rows into zeros
     folded = canonical_sign(_cover(spec)) + 0.0
@@ -254,12 +260,7 @@ def build_group(spec: GroupSpec) -> RotationGroup:
         raise ClosureFailure(
             f"{spec.label}: the cover folds to {len(lifts)} rotations, expected {n}"
         )
-
-    elements = sorted(map(Quaternion._make, lifts.tolist()), key=rounded_key)
-    identity_index = int(same_point(np.array(elements), np.array(ONE)).argmax())
-    cover = np.concatenate([lifts, -lifts]) + 0.0
-    cover = sorted(map(Quaternion._make, cover.tolist()), key=rounded_key)
-    return RotationGroup(spec, elements, cover, identity_index)
+    return RotationGroup(spec, sorted(lifts.tolist(), key=rounded_key))
 
 
 def element_order(g: Quaternion, group: RotationGroup) -> int:

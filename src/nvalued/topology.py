@@ -108,8 +108,10 @@ def solve_antipodal(q: Quaternion) -> AntipodalSolutions:
 
 def tau_has_fixed_points(group: RotationGroup) -> bool:
     """Whether the involution induced by x -> -x on the quaternion quotient
-    has a fixed point: some lift must conjugate some x to -x."""
-    return any(solve_antipodal(q).solvable for q in group.cover)
+    has a fixed point: some lift must conjugate some x to -x.  Both lifts
+    of a rotation give the same answer, since rotation_of folds the sign
+    first, so one lift per element decides it."""
+    return any(solve_antipodal(q).solvable for q in group.elements)
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,8 @@ def check_suspension(
     """Conjugation by every cover element must preserve the real part of
     random unit quaternions and fix the two poles +-1 outright, which is
     what stratifies the quotient into levels of the real part."""
+    if samples < 1:
+        raise ValueError(f"check_suspension needs at least one sample, got {samples}")
     points = random_units(random.Random(seed), samples)
     # -q conjugates exactly like q, so the elements stand for the cover.
     mats = conj_matrix(group.element_rows)

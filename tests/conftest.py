@@ -1,10 +1,13 @@
+import os
 import random
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
 
+import nvalued
 from nvalued.coset import Base, CosetSpace
 from nvalued.quaternion import Quaternion, left_matrix
 from nvalued.rotgroups import GroupSpec, RotationGroup, build_group
@@ -14,6 +17,14 @@ from nvalued.rotgroups import GroupSpec, RotationGroup, build_group
 def make_space(label: str, base: str) -> CosetSpace:
     """Shared space cache so tests do not rebuild groups over and over."""
     return CosetSpace(build_group(GroupSpec.parse(label)), Base(base))
+
+
+def subprocess_env() -> dict:
+    """The environment for a child interpreter that imports the nvalued
+    under test, installed or not."""
+    src = str(Path(nvalued.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture

@@ -31,7 +31,7 @@ from nvalued.topology import (
     tau_has_fixed_points,
 )
 
-from .conftest import closure_defect
+from .conftest import closure_defect, subprocess_env
 
 CATALOG_ORDERS = {
     "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6, "C7": 7, "C8": 8,
@@ -183,8 +183,9 @@ def test_criterion_8_deterministic_verify():
         sys.executable, "-m", "nvalued.cli",
         "verify", "--all", "--json", "--seed", "0",
     ]
-    first = subprocess.run(cmd, capture_output=True, timeout=120)
-    second = subprocess.run(cmd, capture_output=True, timeout=120)
+    env = subprocess_env()
+    first = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+    second = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
     assert first.returncode == 0, first.stderr.decode()
     assert second.returncode == 0, second.stderr.decode()
     assert first.stdout == second.stdout

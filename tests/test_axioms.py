@@ -51,16 +51,16 @@ def test_run_all_passes(label, base):
 @pytest.mark.parametrize("dev", [math.nan, math.inf])
 def test_non_finite_deviation_is_a_failure(dev):
     space = make_space("C2", "sp1")
-    report = _run_trials(space, "identity", 3, 0, 1e-6, lambda rng: dev)
+    report = _run_trials(space, "identity", 3, 0, 1e-6, 1, lambda rng, k: [dev] * k)
     assert report.failures == 3
     assert not report.passed
     assert report.max_deviation == math.inf
 
 
 def test_non_finite_deviation_among_finite_ones_is_reported_as_inf():
-    devs = iter([1e-16, math.nan, 2e-16])
+    devs = [1e-16, math.nan, 2e-16]
     space = make_space("C2", "sp1")
-    report = _run_trials(space, "identity", 3, 0, 1e-6, lambda rng: next(devs))
+    report = _run_trials(space, "identity", 3, 0, 1e-6, 1, lambda rng, k: devs)
     assert report.failures == 1
     assert report.max_deviation == math.inf
 
@@ -104,7 +104,10 @@ def reference_run_all(space, samples, triples, seed, tol=TOL_AXIOM):
         ("well_defined", max(1, samples // 2), well_defined),
     ]
     return [
-        _run_trials(space, axiom, count, seed + k, tol, fn)
+        _run_trials(
+            space, axiom, count, seed + k, tol, 1,
+            lambda rng, size, fn=fn: [fn(rng) for _ in range(size)],
+        )
         for k, (axiom, count, fn) in enumerate(budgets)
     ]
 
@@ -196,6 +199,45 @@ def test_trivial_group_cannot_be_corrupted():
     g = build_group(GroupSpec.parse("C1"))
     with pytest.raises(ValueError):
         corrupted_copy(g)
+
+
+CHECKS = [check_identity, check_inverse, check_associativity, check_well_defined]
+
+
+@pytest.mark.parametrize("count", [0, -5])
+@pytest.mark.parametrize("check", CHECKS)
+def test_a_check_without_trials_raises(check, count):
+    # a check that ran no trial must not report PASS
+    with pytest.raises(ValueError, match="at least one trial"):
+        check(make_space("C3", "sp1"), count)
+
+
+@pytest.mark.parametrize(
+    "tol", [0.0, -1e-6, math.sqrt(2.0), 5.0, math.inf, math.nan]
+)
+@pytest.mark.parametrize("check", CHECKS)
+def test_a_tolerance_that_tests_nothing_raises(check, tol):
+    # no two orbits are sqrt(2) apart on so3, so such a check would pass
+    with pytest.raises(ValueError, match="tolerance"):
+        check(make_space("C3", "so3"), tol=tol)
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_a_tolerance_just_below_the_bound_runs(check):
+    tol = math.nextafter(axioms.MAX_TOL, 0.0)
+    report = check(make_space("C3", "so3"), 2, tol=tol)
+    assert report.trials == 2
+    assert report.passed
+
+
+@pytest.mark.parametrize(
+    "samples, triples, tol",
+    [(0, None, TOL_AXIOM), (-3, None, TOL_AXIOM), (10, 0, TOL_AXIOM),
+     (0, 0, TOL_AXIOM), (10, 1, 5.0), (10, 1, math.inf)],
+)
+def test_run_all_that_would_test_nothing_raises(samples, triples, tol):
+    with pytest.raises(ValueError):
+        run_all(make_space("C3", "sp1"), samples=samples, triples=triples, tol=tol)
 
 
 def test_inverse_check_sees_a_break_too():

@@ -2,16 +2,15 @@
 fresh interpreter."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import nvalued
 from nvalued.cli import build_parser, main
 from nvalued.topology import MAX_SAMPLES
+
+from .conftest import subprocess_env
 
 
 def run_cli(argv, capsys):
@@ -156,9 +155,6 @@ def test_verify_counts_above_limit_are_usage_errors(capsys, flag):
 
 def test_cli_runs_without_importing_scipy():
     # scipy backs only the rare matching fallback, so it is imported lazily
-    src = str(Path(nvalued.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
     code = (
         "import sys, nvalued.cli\n"
         "assert nvalued.cli.main(['classify', 'D3']) == 0\n"
@@ -166,7 +162,7 @@ def test_cli_runs_without_importing_scipy():
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=subprocess_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
 

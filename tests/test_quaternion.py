@@ -218,6 +218,20 @@ class ZeroTupleRng:
         return 0.0 if 9 <= self.calls <= 12 else value
 
 
+def test_random_units_of_no_points_draw_nothing():
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert random_units(rng, 0).shape == (0, 4)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("m", [-1, -3])
+def test_random_units_reject_a_negative_count(m):
+    # a negative count of missing points never counts down to zero
+    with pytest.raises(ValueError):
+        random_units(random.Random(0), m)
+
+
 def test_random_units_reject_a_zero_tuple_like_random_unit():
     a, b = ZeroTupleRng(5), ZeroTupleRng(5)
     expected = np.array([tuple(random_unit(a)) for _ in range(6)])

@@ -25,6 +25,7 @@ from nvalued.rotgroups import (
     ClosureFailure,
     GroupSpec,
     NotInGroup,
+    RotationGroup,
     build_group,
     catalog,
     element_order,
@@ -269,6 +270,31 @@ def test_closure_failure_on_bad_generators(monkeypatch):
     monkeypatch.setattr(rotgroups, "_cover", lambda spec: c3)
     with pytest.raises(ClosureFailure):
         build_group.__wrapped__(GroupSpec.parse("C4"))
+
+
+def test_rows_without_the_identity_raise():
+    g = build_group(GroupSpec.parse("C3"))
+    rows = np.delete(g.element_rows, g.identity_index, axis=0)
+    with pytest.raises(ClosureFailure, match="identity"):
+        RotationGroup(GroupSpec.parse("C2"), rows)
+
+
+@pytest.mark.parametrize("label", ["C1", "D3"])
+def test_cover_is_plus_and_minus_the_element_rows(label):
+    g = build_group(GroupSpec.parse(label))
+    rows = g.element_rows
+    cover = np.array(g.cover)
+    assert np.array_equal(cover, np.concatenate([rows, -rows]))
+    assert not np.signbit(cover[cover == 0.0]).any()
+
+
+@pytest.mark.parametrize("label", [s.label for s in catalog() if s.order > 1])
+def test_corrupted_copy_keeps_the_identity_and_the_cover_size(label):
+    g = build_group(GroupSpec.parse(label))
+    bad = corrupted_copy(g)
+    assert bad.identity_index == g.identity_index
+    assert bad.identity == g.identity
+    assert len(bad.cover) == 2 * len(g)
 
 
 def test_index_of_accepts_either_lift():

@@ -135,6 +135,24 @@ class TestSuspension:
         assert a == b
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_suspension_needs_a_sample(samples):
+    spec = GroupSpec.parse("C3")
+    with pytest.raises(ValueError, match="at least one sample"):
+        check_suspension(build_group(spec), samples=samples)
+    with pytest.raises(ValueError, match="at least one sample"):
+        classify(Base.SO3, spec, samples=samples)
+
+
+@pytest.mark.parametrize("label", [s.label for s in catalog()] + ["C1000", "D500"])
+def test_tau_scan_of_the_elements_agrees_with_the_full_cover(label):
+    g = build_group(GroupSpec.parse(label))
+    for q in g.elements:
+        assert solve_antipodal(-q) == solve_antipodal(q)
+    cover_scan = any(solve_antipodal(q).solvable for q in g.cover)
+    assert tau_has_fixed_points(g) == cover_scan
+
+
 class TestSingularOrbits:
     def test_trivial_group_has_none(self):
         data = singular_orbits(build_group(GroupSpec.parse("C1")))
