@@ -71,15 +71,11 @@ class AxiomReport:
         return self.failures == 0
 
     def to_json_dict(self) -> dict:
+        # the fields in order (vars, since asdict deep-copies each value),
+        # a -0.0 deviation written as 0.0, then `passed`
         return {
-            "space": self.space,
-            "axiom": self.axiom,
-            "trials": self.trials,
-            "failures": self.failures,
+            **vars(self),
             "max_deviation": self.max_deviation + 0.0,
-            "tie_resamples": self.tie_resamples,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
             "passed": self.passed,
         }
 

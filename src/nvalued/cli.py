@@ -1,5 +1,7 @@
 """Command-line interface: enumerate a group, multiply two classes, run
-the axiom verification suites, or classify a quotient.
+the axiom verification suites, or classify a quotient.  The CLI parses,
+dispatches and prints; the library decides the rest, such as which values
+of a product are one orbit.
 
 All output is deterministic for fixed flags: seeds default to 0, floats are
 rounded to 12 digits, JSON keys are sorted, and nothing time- or
@@ -12,14 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional
 
-from .axioms import MAX_TOL, AxiomReport, run_all
-from .coset import Base, CosetSpace, Orbit, orbit_distance, orbit_product, project
-from .quaternion import Quaternion
+from .axioms import MAX_TOL, run_all
+from .coset import Base, CosetSpace, grouped_orbits, orbit_product, project
+from .quaternion import Quaternion, rounded_key
 from .rotgroups import GroupSpec, build_group, catalog, element_order
-from .tolerances import EPS_POINT, TOL_AXIOM
+from .tolerances import TOL_AXIOM
 from .topology import MAX_SAMPLES, ConsistencyFailure, IdentityViolation, classify
 
 NEAR_UNIT = 1e-3
@@ -47,18 +50,13 @@ def _point_arg(text: str) -> Quaternion:
     return Quaternion(*values)
 
 
-def _positive_int(text: str) -> int:
+def _sample_count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError("count must be >= 1")
-    return value
-
-
-def _sample_count(text: str) -> int:
-    value = _positive_int(text)
     if value > MAX_SAMPLES:
         raise argparse.ArgumentTypeError(f"at most {MAX_SAMPLES} samples, got {value}")
     return value
@@ -74,29 +72,12 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _round12(x: float) -> float:
-    return round(x, 12) + 0.0
-
-
 def _rep_list(q: Quaternion) -> list[float]:
-    return [_round12(c) for c in q]
+    return list(rounded_key(q))
 
 
 def _rep_text(q: Quaternion) -> str:
     return "(" + ", ".join(f"{c:+.12f}" for c in _rep_list(q)) + ")"
-
-
-def _grouped(orbits: list[Orbit]) -> list[tuple[Orbit, int]]:
-    """Distinct orbits with multiplicities, in deterministic order."""
-    groups: list[tuple[Orbit, int]] = []
-    for o in sorted(orbits, key=lambda o: _rep_list(o.rep)):
-        for i, (rep, count) in enumerate(groups):
-            if orbit_distance(rep, o) <= EPS_POINT:
-                groups[i] = (rep, count + 1)
-                break
-        else:
-            groups.append((o, 1))
-    return groups
 
 
 def _emit_json(payload: dict) -> None:
@@ -110,13 +91,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_spec: bool = True) -> None:
-        if with_spec:
-            p.add_argument(
-                "spec",
-                type=_spec_arg,
-                help="group label: C<n>, D<m>, T, O or I (case-insensitive)",
-            )
+    def add_command(
+        name: str, help: str, run, all_help: Optional[str] = None
+    ) -> argparse.ArgumentParser:
+        """The subcommand `name` that calls `run`, with the group spec,
+        --base and --json.  Given the help text of --all, the spec is
+        optional and --all and --seed follow."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument(
+            "spec",
+            type=_spec_arg,
+            nargs="?" if all_help else None,
+            help="group label; omit with --all for the whole catalog"
+            if all_help
+            else "group label: C<n>, D<m>, T, O or I (case-insensitive)",
+        )
         p.add_argument(
             "--base",
             choices=[b.value for b in Base],
@@ -124,28 +114,21 @@ def build_parser() -> argparse.ArgumentParser:
             help="which space the group acts on (default sp1)",
         )
         p.add_argument("--json", action="store_true", help="emit JSON")
+        if all_help:
+            p.add_argument("--all", action="store_true", help=all_help)
+            p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+        return p
 
-    def add_catalog_spec(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "spec",
-            type=_spec_arg,
-            nargs="?",
-            help="group label; omit with --all for the whole catalog",
-        )
-        add_common(p, with_spec=False)
+    add_command("generate", "enumerate a group and its cover", cmd_generate)
 
-    p_gen = sub.add_parser("generate", help="enumerate a group and its cover")
-    add_common(p_gen)
-
-    p_mul = sub.add_parser("mul", help="multiply two classes of a quotient")
-    add_common(p_mul)
+    p_mul = add_command("mul", "multiply two classes of a quotient", cmd_mul)
     p_mul.add_argument("point_a", type=_point_arg, help="first point, as w,x,y,z")
     p_mul.add_argument("point_b", type=_point_arg, help="second point, as w,x,y,z")
 
-    p_ver = sub.add_parser("verify", help="run the axiom verification suites")
-    add_catalog_spec(p_ver)
-    p_ver.add_argument("--all", action="store_true", help="whole catalog, both bases")
-    p_ver.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    p_ver = add_command(
+        "verify", "run the axiom verification suites", cmd_verify,
+        all_help="whole catalog, both bases",
+    )
     p_ver.add_argument(
         "--samples",
         type=_sample_count,
@@ -168,10 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
         f"apart on so3, so a larger one tests nothing (default {TOL_AXIOM})",
     )
 
-    p_cls = sub.add_parser("classify", help="predict the shape of a quotient")
-    add_catalog_spec(p_cls)
-    p_cls.add_argument("--all", action="store_true", help="whole catalog")
-    p_cls.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    p_cls = add_command(
+        "classify", "predict the shape of a quotient", cmd_classify,
+        all_help="whole catalog",
+    )
     p_cls.add_argument(
         "--samples",
         type=_sample_count,
@@ -229,7 +212,7 @@ def cmd_mul(args: argparse.Namespace) -> int:
     a = project(space, _load_point(args.point_a, "point_a"))
     b = project(space, _load_point(args.point_b, "point_b"))
     values = orbit_product(a, b)
-    grouped = _grouped(values)
+    grouped = grouped_orbits(values)
     if args.json:
         _emit_json(
             {
@@ -252,32 +235,30 @@ def cmd_mul(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_one(
-    spec: GroupSpec, base: Base, args: argparse.Namespace
-) -> list[AxiomReport]:
-    space = CosetSpace(build_group(spec), base)
-    return run_all(
-        space,
-        samples=args.samples,
-        triples=args.triples,
-        seed=args.seed,
-        tol=args.tol,
-    )
+def _chosen_specs(args: argparse.Namespace) -> list[GroupSpec]:
+    """The whole catalog for --all, else the one spec given; exactly one of
+    the two (else a usage error, exit 2)."""
+    if args.all == (args.spec is not None):
+        print("error: give exactly one of a group spec or --all", file=sys.stderr)
+        raise SystemExit(2)
+    return catalog() if args.all else [args.spec]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.all == (args.spec is not None):
-        print("error: give exactly one of a group spec or --all", file=sys.stderr)
-        return 2
-
-    if args.all:
-        targets = [(s, b) for s in catalog() for b in (Base.SP1, Base.SO3)]
-    else:
-        targets = [(args.spec, Base(args.base))]
-
-    reports: list[AxiomReport] = []
-    for spec, base in targets:
-        reports.extend(_verify_one(spec, base, args))
+    specs = _chosen_specs(args)
+    bases = (Base.SP1, Base.SO3) if args.all else (Base(args.base),)
+    reports = []
+    for spec in specs:
+        for base in bases:
+            reports.extend(
+                run_all(
+                    CosetSpace(build_group(spec), base),
+                    samples=args.samples,
+                    triples=args.triples,
+                    seed=args.seed,
+                    tol=args.tol,
+                )
+            )
     all_passed = all(r.passed for r in reports)
 
     if args.json:
@@ -304,11 +285,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    if args.all == (args.spec is not None):
-        print("error: give exactly one of a group spec or --all", file=sys.stderr)
-        return 2
-
-    specs = catalog() if args.all else [args.spec]
+    specs = _chosen_specs(args)
     base = Base(args.base)
     reports = []
     for spec in specs:
@@ -352,17 +329,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "generate": cmd_generate,
-        "mul": cmd_mul,
-        "verify": cmd_verify,
-        "classify": cmd_classify,
-    }
-    return handlers[args.command](args)
+    return args.run(args)
 
 
 def entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull, so that the
+        # flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -44,6 +44,7 @@ from .quaternion import (
     left_matrix,
     normalized_rows,
     random_units,
+    rounded_key,
 )
 from .rotgroups import RotationGroup
 from .tolerances import EPS_POINT, SEPARATION_FACTOR
@@ -416,6 +417,28 @@ def _match(
 
 def multiset_equal(a: list[Orbit], b: list[Orbit], tol: float) -> bool:
     return match_multisets(a, b, tol)[0]
+
+
+def grouped_orbits(orbits: list[Orbit]) -> list[tuple[Orbit, int]]:
+    """The distinct orbits of a list with their multiplicities, in the
+    order of their rounded representatives: each orbit joins the first
+    group whose orbit lies within EPS_POINT of it.
+
+    Every image of a point has real part +-w, so orbits whose |w| differ
+    by more than EPS_POINT are further apart than that; only groups within
+    twice that (to cover rounding) get the orbit distance."""
+    groups: list[tuple[Orbit, int]] = []
+    for o in sorted(orbits, key=lambda o: rounded_key(o.rep)):
+        w = abs(o.rep.w)
+        for i, (first, count) in enumerate(groups):
+            if abs(abs(first.rep.w) - w) <= 2.0 * EPS_POINT and (
+                orbit_distance(first, o) <= EPS_POINT
+            ):
+                groups[i] = (first, count + 1)
+                break
+        else:
+            groups.append((o, 1))
+    return groups
 
 
 def random_point(space: CosetSpace, rng: random.Random) -> Orbit:

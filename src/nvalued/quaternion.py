@@ -152,10 +152,10 @@ def rounded_key(v) -> tuple[float, ...]:
 def rotation_of(q: Quaternion) -> tuple[Optional[Vec3], float]:
     """Axis and angle of the rotation that conjugation by q induces.
 
-    The angle lies in [0, 2*pi).  The unit axis has its first coordinate of
-    magnitude above EPS_POINT made positive, flipping the angle to
-    2*pi - angle when the raw axis had to be negated.  The identity
-    rotation returns (None, 0.0) since its axis is undefined.
+    The angle lies in [0, 2*pi).  The unit axis is folded by
+    canonical_sign, and the angle flips to 2*pi - angle when the fold
+    negates the raw axis.  The identity rotation returns (None, 0.0) since
+    its axis is undefined.
     """
     w, x, y, z = q
     if w < 0.0:
@@ -164,14 +164,9 @@ def rotation_of(q: Quaternion) -> tuple[Optional[Vec3], float]:
     if s <= EPS_POINT:
         return None, 0.0
     angle = 2.0 * math.atan2(s, w)
-    axis = Vec3(x / s, y / s, z / s)
-    for c in axis:
-        if abs(c) > EPS_POINT:
-            if c < 0.0:
-                axis = -axis
-                angle = 2.0 * math.pi - angle
-            break
-    return axis, angle
+    raw = Vec3(x / s, y / s, z / s)
+    axis = canonical_sign(raw)
+    return axis, angle if axis is raw else 2.0 * math.pi - angle
 
 
 def random_unit(rng) -> Quaternion:

@@ -231,7 +231,10 @@ class RotationGroup:
 
     def index_of(self, g: Quaternion, tol: float = EPS_POINT) -> int:
         """Index of the rotation covered by g, or NotInGroup.  Either lift
-        of g may lie within `tol` of the stored one."""
+        of g may lie within `tol` of the stored one; a `tol` that is not
+        >= 0 (NaN too) raises ValueError."""
+        if not tol >= 0.0:
+            raise ValueError(f"tolerance must be >= 0, got {tol}")
         q = np.array(g, dtype=float)
         rows = self.element_rows
         hits = np.flatnonzero(same_point(rows, q, tol) | same_point(rows, -q, tol))

@@ -7,6 +7,7 @@ import pytest
 
 from nvalued import axioms
 from nvalued.axioms import (
+    AxiomReport,
     _run_trials,
     check_associativity,
     check_identity,
@@ -172,6 +173,16 @@ def test_report_json_shape():
         "space", "axiom", "trials", "failures", "max_deviation",
         "tie_resamples", "seed", "tolerance", "passed",
     }
+
+
+def test_report_json_writes_a_negative_zero_deviation_as_zero():
+    d = AxiomReport("C2@sp1", "inverse", 3, 0, -0.0, 0, 7, 1e-6).to_json_dict()
+    assert d == {
+        "space": "C2@sp1", "axiom": "inverse", "trials": 3, "failures": 0,
+        "max_deviation": 0.0, "tie_resamples": 0, "seed": 7, "tolerance": 1e-6,
+        "passed": True,
+    }
+    assert math.copysign(1.0, d["max_deviation"]) == 1.0
 
 
 @pytest.mark.parametrize("label", ["C3", "D3", "T", "O"])

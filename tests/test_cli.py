@@ -167,6 +167,20 @@ def test_cli_runs_without_importing_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_closed_pipe_exits_without_a_traceback():
+    # as `nvalued generate C1000 | head -1`: the output overfills the pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nvalued.cli", "generate", "C1000"],
+        env=subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"C1000@sp1: n=1000")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_verify_single_space(capsys):
     code, out, _ = run_cli(
         ["verify", "C2", "--base", "so3", "--samples", "20", "--triples", "5"],

@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nvalued import coset
-from nvalued.cli import _grouped
 from nvalued.coset import (
     Base,
     CosetSpace,
     Orbit,
     SizeMismatch,
     _canonical,
+    grouped_orbits,
     identity_orbit,
     match_multisets,
     multiset_equal,
@@ -428,9 +428,47 @@ class TestMultisets:
         s = make_space("C2", "sp1")
         e = identity_orbit(s)
         x = random_point(s, rng)
-        grouped = _grouped(orbit_product(e, x))
+        grouped = grouped_orbits(orbit_product(e, x))
         assert len(grouped) == 1
         assert grouped[0][1] == 2
+
+    def test_grouping_measures_only_orbits_of_equal_abs_w(self, monkeypatch):
+        # The 1000 values on C1000@so3 are distinct orbits; comparing each
+        # with every group found so far took n (n - 1) / 2 orbit distances.
+        s = make_space("C1000", "so3")
+        a = project(s, Quaternion(0.6, 0.8, 0.0, 0.0))
+        b = project(s, Quaternion(0.0, 0.0, 0.6, 0.8))
+        values = orbit_product(a, b)
+        # each orbit distance is one _nearest sweep
+        calls = []
+        nearest = coset._nearest
+
+        def counting(points, images):
+            calls.append(1)
+            return nearest(points, images)
+
+        monkeypatch.setattr(coset, "_nearest", counting)
+        grouped = grouped_orbits(values)
+        assert sum(m for _, m in grouped) == s.n
+        assert len(calls) <= 2 * s.n
+
+    def test_grouping_joins_one_orbit_across_the_slack_boundary(self):
+        # Across x = EPS_POINT / 2 the representative jumps to the image
+        # (0.6, -x, 0.8, 0): 1.6 away, yet the same orbit (distance 2e-13).
+        s = make_space("C2", "sp1")
+        above = project(s, Quaternion(0.6, 5.001e-10, -0.8, 0.0))
+        below = project(s, Quaternion(0.6, 4.999e-10, -0.8, 0.0))
+        assert qdist(above.rep, below.rep) > 1.5
+        assert orbit_distance(above, below) < 1e-12
+        ((_, count),) = grouped_orbits([above, below])
+        assert count == 2
+
+    def test_grouping_keeps_distinct_orbits_of_equal_abs_w_apart(self):
+        s = make_space("C3", "so3")
+        x = project(s, Quaternion(0.6, 0.8, 0.0, 0.0))
+        y = project(s, Quaternion(-0.6, 0.0, 0.0, 0.8))
+        assert abs(x.rep.w) == abs(y.rep.w)
+        assert [m for _, m in grouped_orbits([x, y])] == [1, 1]
 
 
 def count_swept_rows(monkeypatch):

@@ -5,6 +5,8 @@ The digests date from the generator-closure enumeration of the groups; the
 closed-form covers reproduce every one of them.  C999 is left out: the
 closure drifted below the 12-decimal rounding there, and one of its
 printed digits moved with the closed form (to the correctly rounded one).
+The `mul` digests date from the grouping that measured every pair of
+values; grouping measures only values of nearly equal |w| now.
 """
 
 import hashlib
@@ -48,6 +50,27 @@ CLASSIFY_DIGESTS = {
     "so3": "00533852a2bcfc007e130ed5e0b96e62fa0ce192854e75a0933e4f8e45f5aa30",
 }
 
+# `mul` on the largest groups at one point pair, and the README example.
+PAIR = ["0.6,0.8,0,0", "0,0,0.6,0.8"]
+MUL_DIGESTS = {
+    ("I", "so3", *PAIR): (
+        "faa8710e945b80b179b51bf66a70e8233c3deaa3944adb37709af42521817f99",
+        "24b22adc1780b648c7dc198753afa909b925ddf460c50f4bbf7125ce5c887e0b",
+    ),
+    ("D500", "sp1", *PAIR): (
+        "88a3598e08b4da9725681776b9fc75f5fea47f65c47b60832e3773ed0ddb6b66",
+        "f0d7c700f94438be0a247e8810c1a9b3dd554a34f6671bcffa8dbda509991a5c",
+    ),
+    ("C1000", "so3", *PAIR): (
+        "23828f3c69b4750ecb2666e8547239d122fef1c705914a9ef8825b769c05b476",
+        "80e443d361aa5495a219dd88963031e55b7e024626cc996bbaeba0df3b27b5f6",
+    ),
+    ("C2", "sp1", "0,1,0,0", "0,0,1,0"): (
+        "5881acf35eca923b238589798520a95355545fa9775a9c0d70ef4003fda3c52a",
+        "8f4b11d15c8e4df593e4779b1475d431f9c08b6826980aec755c87f11c867e97",
+    ),
+}
+
 
 def digest(argv, capsys) -> str:
     assert main(argv) == 0
@@ -64,3 +87,12 @@ def test_generate_json_is_unchanged(label, capsys):
 def test_classify_all_json_is_unchanged(base, capsys):
     argv = ["classify", "--all", "--json", "--base", base]
     assert digest(argv, capsys) == CLASSIFY_DIGESTS[base]
+
+
+@pytest.mark.parametrize("case", MUL_DIGESTS, ids=lambda c: f"{c[0]}@{c[1]}")
+def test_mul_text_and_json_are_unchanged(case, capsys):
+    label, base, a, b = case
+    argv = ["mul", label, "--base", base, a, b]
+    text, as_json = MUL_DIGESTS[case]
+    assert digest(argv, capsys) == text
+    assert digest(argv + ["--json"], capsys) == as_json

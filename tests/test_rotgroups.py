@@ -323,6 +323,17 @@ def test_contains_either_lift_at_a_loose_tolerance():
     assert not g.contains(q)
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_index_of_rejects_a_negative_or_nan_tolerance(tol):
+    # a squared distance is <= tol * tol = 1 for a tolerance of -1
+    g = build_group(GroupSpec.parse("C2"))
+    q = Quaternion(0.8, 0.6, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        g.index_of(q, tol=tol)
+    with pytest.raises(ValueError):
+        g.contains(q, tol=tol)
+
+
 def test_match_rows_agrees_with_every_pair():
     rng = np.random.default_rng(0)
     points = rng.normal(size=(60, 3))
