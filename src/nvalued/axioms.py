@@ -10,14 +10,12 @@ failure counts plus the worst deviation seen.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .coset import (
-    Base,
     CosetSpace,
     _canonical,
     _distances_to_identity,
@@ -87,10 +85,10 @@ def _run_trials(
     seed: int,
     tol: float,
     values_per_trial: int,
-    block_fn: Callable[[random.Random, int], Sequence[float]],
+    block_fn: Callable[[np.random.Generator, int], Sequence[float]],
 ) -> AxiomReport:
     """Run `trials` trials a block at a time: `block_fn(rng, count)` draws
-    the next `count` trials from one seeded rng, in the order the trials
+    the next `count` trials from one seeded generator, in the order the trials
     would draw them one by one, and returns their deviations.  A block
     holds at most BLOCK_VALUES product values, or one trial.
 
@@ -102,7 +100,7 @@ def _run_trials(
         raise ValueError(f"{axiom} needs at least one trial, got {trials}")
     if not 0.0 < tol < MAX_TOL:
         raise ValueError(f"tolerance must be > 0 and < sqrt(2), got {tol!r}")
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     size = max(1, BLOCK_VALUES // values_per_trial)
     dev = np.concatenate(
         [
@@ -123,7 +121,7 @@ def _run_trials(
     )
 
 
-def _sample(space: CosetSpace, rng: random.Random, count: int) -> np.ndarray:
+def _sample(space: CosetSpace, rng: np.random.Generator, count: int) -> np.ndarray:
     """Canonical representatives of `count` successive random points."""
     return _canonical(space, _random_points(space, rng, count))
 
@@ -136,7 +134,7 @@ def check_identity(
     e = np.array([identity_orbit(space).rep])
     n = space.n
 
-    def block(rng: random.Random, count: int) -> list[float]:
+    def block(rng: np.random.Generator, count: int) -> list[float]:
         x = _sample(space, rng, count)
         entries = np.concatenate(
             [
@@ -161,7 +159,7 @@ def check_inverse(
     product entry to the identity."""
     n = space.n
 
-    def block(rng: random.Random, count: int) -> np.ndarray:
+    def block(rng: np.random.Generator, count: int) -> np.ndarray:
         x = _sample(space, rng, count)
         # orbit_inverse: the orbit of the conjugate, normalized as project does
         ix = _canonical(space, normalized_rows(x * _CONJ_SIGN))
@@ -189,7 +187,7 @@ def check_associativity(
         triples = default_triples(space)
     n = space.n
 
-    def block(rng: random.Random, count: int) -> list[float]:
+    def block(rng: np.random.Generator, count: int) -> list[float]:
         points = _sample(space, rng, 3 * count).reshape(count, 3, 4)
         x, y, z = points.transpose(1, 0, 2)
         left = _product_left(space, x, y, z).reshape(count, n * n, 4)
@@ -207,31 +205,22 @@ def check_well_defined(
     """The product multiset must not depend on which representatives of the
     two classes it is computed from."""
     n = space.n
+    moves = np.random.default_rng([seed, 1])
 
-    def block(rng: random.Random, count: int) -> list[float]:
-        # Per trial: two points, then for each a group element and, on the
-        # rotation base, a lift sign that move it to another representative.
-        points, moves = [], []
-        for _ in range(count):
-            points.append(_random_points(space, rng, 2))
-            moves += [(rng.randrange(n), _maybe_negate(space, rng)) for _ in range(2)]
-        reps = _canonical(space, np.concatenate(points)).reshape(count, 2, 4)
-        x, y = reps.transpose(1, 0, 2)
-        chosen = np.array(moves, dtype=int).reshape(count, 2, 2)
-        (ia, na), (ib, nb) = chosen.transpose(1, 2, 0)
-        rows = np.arange(count)
-        a = space.act_images(x)[rows, ia] * np.where(na, -1.0, 1.0)[:, None]
-        b = space.act_images(y)[rows, ib] * np.where(nb, -1.0, 1.0)[:, None]
-        want = _product(space, x, y).reshape(count, n, 4)
-        got = _product(space, a, b).reshape(count, n, 4)
+    def block(rng: np.random.Generator, count: int) -> list[float]:
+        # Per trial: two points, each moved to another representative of its
+        # orbit by one of the maps that canon_images sweeps (a group element,
+        # and on the rotation base a lift sign).  The moves come from their
+        # own stream, so blocks of any size draw the same trials.
+        pairs = _sample(space, rng, 2 * count)
+        images = space.canon_images(pairs)
+        chosen = moves.integers(images.shape[1], size=(count, 2)).ravel()
+        moved = images[np.arange(2 * count), chosen]
+        want = _product(space, pairs[0::2], pairs[1::2]).reshape(count, n, 4)
+        got = _product(space, moved[0::2], moved[1::2]).reshape(count, n, 4)
         return [_match(space, p, q, tol)[1] for p, q in zip(want, got)]
 
     return _run_trials(space, "well_defined", samples, seed, tol, 2 * n, block)
-
-
-def _maybe_negate(space: CosetSpace, rng: random.Random) -> bool:
-    # Lift signs are representative choices only on the rotation base.
-    return space.base is Base.SO3 and rng.random() < 0.5
 
 
 def run_all(

@@ -50,16 +50,26 @@ def _point_arg(text: str) -> Quaternion:
     return Quaternion(*values)
 
 
-def _sample_count(text: str) -> int:
+def _integer(text: str, least: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("count must be >= 1")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"{what} must be >= {least}")
+    return value
+
+
+def _sample_count(text: str) -> int:
+    value = _integer(text, 1, "count")
     if value > MAX_SAMPLES:
         raise argparse.ArgumentTypeError(f"at most {MAX_SAMPLES} samples, got {value}")
     return value
+
+
+def _seed(text: str) -> int:
+    # numpy seeds its generators from non-negative integers only
+    return _integer(text, 0, "seed")
 
 
 def _tolerance(text: str) -> float:
@@ -116,7 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON")
         if all_help:
             p.add_argument("--all", action="store_true", help=all_help)
-            p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+            p.add_argument(
+                "--seed", type=_seed, default=0, help="PRNG seed, >= 0 (default 0)"
+            )
         return p
 
     add_command("generate", "enumerate a group and its cover", cmd_generate)

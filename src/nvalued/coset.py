@@ -31,7 +31,6 @@ the product and the orbit distance each run once over a whole batch.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -76,11 +75,12 @@ class SizeMismatch(ValueError):
 class CosetSpace:
     """The quotient of a base space by a finite rotation group.
 
-    Precomputes the action matrices once: `_act[i]` is conjugation by the
-    i-th group element (either lift conjugates identically).  The canon
-    family is the set of maps whose images sweep out everything a point is
-    identified with; on the rotation base each point also carries the sign
-    ambiguity of its lift, so the family there includes the negated maps.
+    `base` is a Base or its value ("sp1", "so3").  Precomputes the action
+    matrices once: the i-th is conjugation by the i-th group element
+    (either lift conjugates identically).  The canon family is the set of
+    maps whose images sweep out everything a point is identified with; on
+    the rotation base each point also carries the sign ambiguity of its
+    lift, so the family there includes the negated maps.
     Both families are kept as (k*4, 4) stacks, so that a sweep of m points
     is a single (m, 4) x (4, k*4) matmul.  The acting stack is map-major
     (row 4*i + r holds row r of the i-th map); the canon stack, which orbit
@@ -91,12 +91,11 @@ class CosetSpace:
     as a (3, 3*n) stack (column c*n + i holds row c of the i-th rotation).
     """
 
-    def __init__(self, group: RotationGroup, base: Base):
+    def __init__(self, group: RotationGroup, base: Base | str):
         self.group = group
-        self.base = base
+        self.base = Base(base)
         act = conj_matrix(group.element_rows)
-        canon = act if base is Base.SP1 else np.concatenate([act, -act])
-        self._act = act
+        canon = act if self.base is Base.SP1 else np.concatenate([act, -act])
         self._act_stack = act.reshape(-1, 4)
         self._canon_cols = canon.transpose(1, 0, 2).reshape(-1, 4)
         self._rot_cols = act[:, 1:, 1:].transpose(2, 1, 0).reshape(3, -1)
@@ -105,8 +104,8 @@ class CosetSpace:
 
     @property
     def n(self) -> int:
-        """Number of values of the product: the size of the acting family."""
-        return self._act.shape[0]
+        """Number of values of the product: the order of the group."""
+        return len(self.group)
 
     @property
     def label(self) -> str:
@@ -127,17 +126,6 @@ class CosetSpace:
         sweep = (points @ self._canon_cols.T).reshape(len(points), 4, -1)
         return sweep.transpose(0, 2, 1)
 
-    def representative_image(
-        self, point: Quaternion, index: int, negate: bool = False
-    ) -> Quaternion:
-        """The image of a representative under the index-th group element,
-        optionally negated (meaningful on the rotation base): an alternative
-        representative of the same orbit."""
-        vec = self._act[index] @ np.asarray(tuple(point), dtype=float)
-        if negate:
-            vec = -vec
-        return Quaternion(*(float(c) for c in vec))
-
 
 @dataclass(frozen=True, eq=False)
 class Orbit:
@@ -153,6 +141,15 @@ class Orbit:
 
 def _orbits(space: CosetSpace, reps: np.ndarray) -> list[Orbit]:
     return [Orbit(space, Quaternion(*row)) for row in reps.tolist()]
+
+
+def _check_space(space: CosetSpace, orbits) -> None:
+    """Raise ValueError unless every orbit lies in `space`: the same group
+    object (groups are built once per spec) and the same base.  Orbits of
+    two spaces have no product or distance."""
+    for o in orbits:
+        if o.space.group is not space.group or o.space.base is not space.base:
+            raise ValueError(f"orbits of {space.label} and {o.space.label} do not mix")
 
 
 def _blocks(space: CosetSpace, m: int) -> list[slice]:
@@ -284,6 +281,7 @@ def project(space: CosetSpace, w: Quaternion) -> Orbit:
 def orbit_distance(x: Orbit, y: Orbit) -> float:
     """Distance between orbits: min over the orbit of y of the distance to
     the representative of x."""
+    _check_space(x.space, (y,))
     images = x.space.canon_images(np.array([y.rep]))[0]
     return float(_nearest(np.array(x.rep), images))
 
@@ -300,6 +298,7 @@ def product_from_representatives(
 def orbit_product(x: Orbit, y: Orbit) -> list[Orbit]:
     """The n values of the product of two orbits, as a list (a multiset;
     order carries no meaning beyond determinism)."""
+    _check_space(x.space, (y,))
     return product_from_representatives(x.space, x.rep, y.rep)
 
 
@@ -318,12 +317,14 @@ def _product_right(space: CosetSpace, x, y, z) -> np.ndarray:
 
 def orbit_product_left(x: Orbit, y: Orbit, z: Orbit) -> list[Orbit]:
     """All n^2 values of (x y) z, concatenated over the n values of x y."""
+    _check_space(x.space, (y, z))
     reps = (np.array([o.rep]) for o in (x, y, z))
     return _orbits(x.space, _product_left(x.space, *reps))
 
 
 def orbit_product_right(x: Orbit, y: Orbit, z: Orbit) -> list[Orbit]:
     """All n^2 values of x (y z), concatenated over the n values of y z."""
+    _check_space(x.space, (y, z))
     reps = (np.array([o.rep]) for o in (x, y, z))
     return _orbits(x.space, _product_right(x.space, *reps))
 
@@ -373,11 +374,15 @@ def match_multisets(
     assignment on the full orbit-distance matrix.  A cheap sound rejection
     runs first: sorted per-coordinate values of the two rep sets must agree
     within tol, since any true matching permutes them.
+
+    Raises SizeMismatch for lists of different lengths and ValueError for
+    orbits of different spaces.
     """
     if len(a) != len(b):
         raise SizeMismatch(f"multisets of size {len(a)} vs {len(b)}")
     if not a:
         return True, 0.0
+    _check_space(a[0].space, (*a, *b))
     return _match(
         a[0].space, np.array([o.rep for o in a]), np.array([o.rep for o in b]), tol
     )
@@ -415,10 +420,6 @@ def _match(
     return dev <= tol, dev
 
 
-def multiset_equal(a: list[Orbit], b: list[Orbit], tol: float) -> bool:
-    return match_multisets(a, b, tol)[0]
-
-
 def grouped_orbits(orbits: list[Orbit]) -> list[tuple[Orbit, int]]:
     """The distinct orbits of a list with their multiplicities, in the
     order of their rounded representatives: each orbit joins the first
@@ -441,7 +442,7 @@ def grouped_orbits(orbits: list[Orbit]) -> list[tuple[Orbit, int]]:
     return groups
 
 
-def random_point(space: CosetSpace, rng: random.Random) -> Orbit:
+def random_point(space: CosetSpace, rng: np.random.Generator) -> Orbit:
     """A random orbit whose sweep images are pairwise well separated, so
     canonicalization and matching are stable.  Rejection-samples until the
     minimum pairwise distance exceeds SEPARATION_FACTOR * EPS_POINT, and
@@ -451,7 +452,9 @@ def random_point(space: CosetSpace, rng: random.Random) -> Orbit:
     return x
 
 
-def _random_points(space: CosetSpace, rng: random.Random, count: int) -> np.ndarray:
+def _random_points(
+    space: CosetSpace, rng: np.random.Generator, count: int
+) -> np.ndarray:
     """The unit quaternions that `count` successive random_point calls
     canonicalize, as a (count, 4) array, drawn from the same candidate
     stream: candidates come from random_units, a rejected one is skipped,

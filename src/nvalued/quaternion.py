@@ -169,43 +169,21 @@ def rotation_of(q: Quaternion) -> tuple[Optional[Vec3], float]:
     return axis, angle if axis is raw else 2.0 * math.pi - angle
 
 
-def random_unit(rng) -> Quaternion:
-    """Uniform point of the unit sphere S^3 from a seeded random.Random."""
-    while True:
-        q = Quaternion(rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
-        if q.norm() >= 1e-8:
-            return q.normalized()
-
-
-def random_units(rng, m: int) -> np.ndarray:
-    """`m` uniform points of S^3 as an (m, 4) array: bit for bit the points
-    of `m` successive random_unit(rng) calls, drawn in batches.  Each round
-    draws 4 gaussians per missing point, drops the near-zero 4-tuples that
-    random_unit would reject, and normalizes with the same float operations.
-    `m` = 0 gives a (0, 4) array and a negative `m` raises ValueError."""
-    if m < 0:
-        raise ValueError(f"cannot draw {m} points")
-    batches = []
-    missing = m
-    while missing:
-        q = np.array([rng.gauss(0, 1) for _ in range(4 * missing)]).reshape(-1, 4)
-        norm = _row_norms(q)
-        keep = norm >= 1e-8
-        batches.append(q[keep] / norm[keep, None])
-        missing -= int(keep.sum())
-    return np.concatenate(batches or [np.empty((0, 4))])
-
-
-def _row_norms(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q.T
-    return np.sqrt(w * w + x * x + y * y + z * z)
+def random_units(rng: np.random.Generator, m: int) -> np.ndarray:
+    """`m` uniform points of S^3 as an (m, 4) array: normalized standard
+    normal 4-vectors.  The generator draws in order, so `m` points drawn at
+    once are the points of `m` one-point draws.  `m` = 0 draws nothing and
+    a negative `m` raises numpy's ValueError.  Nothing is redrawn: a
+    4-vector within 1e-8 of 0 has probability about 1e-33."""
+    return normalized_rows(rng.standard_normal((m, 4)))
 
 
 def normalized_rows(q: np.ndarray) -> np.ndarray:
     """Each row of an (m, 4) array divided by its norm, with the float
     operations of Quaternion.normalized: a row comes out bit for bit as
     Quaternion(*row).normalized()."""
-    return q / _row_norms(q)[:, None]
+    w, x, y, z = q.T
+    return q / np.sqrt(w * w + x * x + y * y + z * z)[:, None]
 
 
 # left_matrix(q)[r, c] == _LEFT_SIGN[r, c] * q[_INDEX[r, c]], and the

@@ -15,7 +15,6 @@ when they do not.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -136,7 +135,7 @@ def check_suspension(
     what stratifies the quotient into levels of the real part."""
     if samples < 1:
         raise ValueError(f"check_suspension needs at least one sample, got {samples}")
-    points = random_units(random.Random(seed), samples)
+    points = random_units(np.random.default_rng(seed), samples)
     # -q conjugates exactly like q, so the elements stand for the cover.
     mats = conj_matrix(group.element_rows)
     # only the real part of each image is needed: row 0 of each matrix

@@ -1,5 +1,4 @@
 import os
-import random
 from functools import lru_cache
 from pathlib import Path
 
@@ -28,8 +27,8 @@ def subprocess_env() -> dict:
 
 
 @pytest.fixture
-def rng() -> random.Random:
-    return random.Random(0)
+def rng() -> np.random.Generator:
+    return np.random.default_rng(0)
 
 
 @st.composite

@@ -3,6 +3,7 @@ ones, reproducible under a fixed seed."""
 
 import math
 
+import numpy as np
 import pytest
 
 from nvalued import axioms
@@ -28,6 +29,7 @@ from nvalued.coset import (
     orbit_product,
     random_point,
 )
+from nvalued.quaternion import conj_action
 from nvalued.rotgroups import GroupSpec, build_group
 from nvalued.tolerances import TOL_AXIOM
 
@@ -89,13 +91,18 @@ def reference_run_all(space, samples, triples, seed, tol=TOL_AXIOM):
         right = [v for yz in orbit_product(y, z) for v in orbit_product(x, yz)]
         return match_multisets(left, right, tol)[1]
 
+    # One move per point: an index into the n conjugations, and on the
+    # rotation base their negatives too, from a stream of its own.
+    moves = np.random.default_rng([seed + 3, 1])
+    maps = space.n * (2 if space.base is Base.SO3 else 1)
+
     def well_defined(rng):
         x, y = random_point(space, rng), random_point(space, rng)
         moved = []
         for p in (x, y):
-            index = rng.randrange(space.n)
-            negate = space.base is Base.SO3 and rng.random() < 0.5
-            moved.append(Orbit(space, space.representative_image(p.rep, index, negate)))
+            index = int(moves.integers(maps))
+            q = conj_action(space.group.elements[index % space.n], p.rep)
+            moved.append(Orbit(space, -q if index >= space.n else q))
         return match_multisets(orbit_product(x, y), orbit_product(*moved), tol)[1]
 
     budgets = [
@@ -136,6 +143,18 @@ def test_small_trial_blocks_match_the_per_trial_reference(monkeypatch, label, ba
     # 40 values: several trials per block with a remainder, or one trial
     monkeypatch.setattr(axioms, "BLOCK_VALUES", 40)
     assert_matches_reference(make_space(label, base), samples=13, triples=5)
+
+
+@pytest.mark.parametrize("base", [Base.SP1, Base.SO3])
+@pytest.mark.parametrize("label", ["C3", "T"])
+def test_small_trial_blocks_match_the_reference_on_corrupted_groups(
+    monkeypatch, label, base
+):
+    # where the moves decide the deviations, a block must continue the
+    # move stream of the block before it, not restart it
+    monkeypatch.setattr(axioms, "BLOCK_VALUES", 40)
+    bad = corrupted_copy(build_group(GroupSpec.parse(label)), extra_angle=0.1)
+    assert_matches_reference(CosetSpace(bad, base), samples=13, triples=5)
 
 
 @pytest.mark.parametrize("angle", [0.1, 1e-5])

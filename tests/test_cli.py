@@ -153,6 +153,17 @@ def test_verify_counts_above_limit_are_usage_errors(capsys, flag):
     assert vars(args)[flag[2:]] == MAX_SAMPLES
 
 
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_negative_seed_is_usage_error(capsys, command):
+    # numpy seeds its generators from non-negative integers only
+    code, out, err = run_cli([command, "C3", "--seed", "-1"], capsys)
+    assert code == 2
+    assert "seed must be >= 0" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert build_parser().parse_args([command, "C3", "--seed", "0"]).seed == 0
+
+
 def test_cli_runs_without_importing_scipy():
     # scipy backs only the rare matching fallback, so it is imported lazily
     code = (

@@ -7,13 +7,13 @@ j directions, so orbits and products can be written out by hand and frozen.
 
 import itertools
 import math
-import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nvalued import coset
+from nvalued.axioms import corrupted_copy
 from nvalued.coset import (
     Base,
     CosetSpace,
@@ -23,7 +23,6 @@ from nvalued.coset import (
     grouped_orbits,
     identity_orbit,
     match_multisets,
-    multiset_equal,
     orbit_distance,
     orbit_inverse,
     orbit_product,
@@ -34,10 +33,9 @@ from nvalued.coset import (
     random_point,
 )
 from nvalued.quaternion import (
-    ONE, QI, QJ, QK, Quaternion, conj_action, normalized_rows, qdist, random_unit,
-    random_units,
+    ONE, QI, QJ, QK, Quaternion, conj_action, normalized_rows, qdist, random_units,
 )
-from nvalued.rotgroups import catalog
+from nvalued.rotgroups import GroupSpec, build_group, catalog
 from nvalued.tolerances import EPS_POINT, SEPARATION_FACTOR, TOL_AXIOM
 
 from .conftest import equator_quaternions, make_space, unit_quaternions
@@ -56,6 +54,60 @@ def test_space_labels_and_sizes():
     assert s.label == "C5@sp1"
     assert s.n == 5
     assert make_space("T", "so3").n == 12
+
+
+@pytest.mark.parametrize("base", list(Base))
+def test_a_base_given_by_its_value_is_the_enum(base):
+    g = make_space("C3", "sp1").group
+    by_value, by_enum = CosetSpace(g, base.value), CosetSpace(g, base)
+    assert by_value.base is base
+    assert by_value.label == by_enum.label == f"C3@{base.value}"
+    assert repr(by_value) == repr(by_enum)
+    for q in (-ONE, QI, Quaternion(0.5, 0.1, -0.3, 0.2).normalized()):
+        assert project(by_value, q).rep == project(by_enum, q).rep
+
+
+def test_an_unknown_base_raises():
+    with pytest.raises(ValueError):
+        CosetSpace(make_space("C3", "sp1").group, "xyz")
+
+
+class TestMixedSpaces:
+    """Orbits of two spaces have no product, distance or matching."""
+
+    @staticmethod
+    def pairs():
+        c3 = make_space("C3", "sp1")
+        return [
+            (c3, make_space("C4", "sp1")),
+            (c3, make_space("C3", "so3")),
+            (c3, CosetSpace(corrupted_copy(c3.group), Base.SP1)),
+        ]
+
+    @pytest.mark.parametrize("case", range(3), ids=["C3-C4", "sp1-so3", "C3-corrupted"])
+    def test_mixed_orbits_raise(self, case):
+        s, t = self.pairs()[case]
+        x, y = project(s, QI), project(t, QI)
+        calls = [
+            lambda: orbit_distance(x, y),
+            lambda: orbit_product(x, y),
+            lambda: orbit_product_left(x, x, y),
+            lambda: orbit_product_right(x, y, x),
+            lambda: match_multisets([x], [y], 1e-6),
+            lambda: match_multisets([x, y], [x, x], 1e-6),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="do not mix"):
+                call()
+
+    def test_two_builds_of_one_space_mix(self):
+        s = make_space("C3", "sp1")
+        t = CosetSpace(build_group(GroupSpec.parse("C3")), "sp1")
+        assert t is not s
+        x, y = project(s, QI), project(t, QI)
+        assert orbit_distance(x, y) < 1e-12
+        assert match_multisets(orbit_product(x, x), orbit_product(y, y), 1e-9)[0]
+        assert len(orbit_product_left(x, y, x)) == len(orbit_product_right(y, x, y)) == 9
 
 
 def reference_canonical(space, point):
@@ -99,7 +151,7 @@ def singular_points(space, rng):
     if space.base is Base.SO3:
         for w in EQUATOR_REAL_PARTS:
             for _ in range(5):
-                v = np.array(random_unit(rng)[1:])
+                v = random_units(rng, 1)[0, 1:]
                 points.append([[w, *(math.sqrt(1 - w * w) * v / np.linalg.norm(v))]])
     return np.concatenate(points)
 
@@ -124,7 +176,8 @@ class TestProject:
         s = make_space("I", "so3")
         m = s._block_rows + offset
         assert s._block_rows == coset.SWEEP_BLOCK // s.n
-        points = random_units(random.Random(offset), m)
+        # numpy seeds are >= 0, so the seed is the offset plus one
+        points = random_units(np.random.default_rng(offset + 1), m)
         # some rows on the equator, where both lift signs are compared
         points[::97, 0] = 0.0
         points = normalized_rows(points)
@@ -172,7 +225,7 @@ class TestProject:
         s = make_space("D3", "sp1")
         base_rep = project(s, w).rep
         for i in range(len(s.group)):
-            moved = s.representative_image(w, i)
+            moved = conj_action(s.group.elements[i], w)
             assert qdist(project(s, moved).rep, base_rep) < 1e-9
 
     @pytest.mark.parametrize("label", ["C2", "D3", "T", "I"])
@@ -189,7 +242,7 @@ class TestProject:
         x = data.draw(points)
         want = project(s, x).rep
         for i in range(s.n):
-            moved = project(s, s.representative_image(x, i))
+            moved = project(s, conj_action(s.group.elements[i], x))
             assert qdist(moved.rep, want) <= TOL_AXIOM
 
 
@@ -273,7 +326,7 @@ class TestProduct:
         x, y, z = (project(s, q) for q in (QI, QJ, QK))
         left = orbit_product_left(x, y, z)
         right = orbit_product_right(x, y, z)
-        assert multiset_equal(left, right, 1e-9)
+        assert match_multisets(left, right, 1e-9)[0]
         e, m = identity_orbit(s), project(s, -ONE)
         assert sum(1 for v in left if orbit_distance(v, e) < 1e-9) == 2
         assert sum(1 for v in left if orbit_distance(v, m) < 1e-9) == 2
@@ -295,7 +348,7 @@ class TestProduct:
         s = make_space("D2", "so3")
         x, y = random_point(s, rng), random_point(s, rng)
         flipped = product_from_representatives(s, -x.rep, y.rep)
-        assert multiset_equal(orbit_product(x, y), flipped, 1e-9)
+        assert match_multisets(orbit_product(x, y), flipped, 1e-9)[0]
 
 
 class TestOrbitDistance:
@@ -328,19 +381,19 @@ class TestMultisets:
         values = orbit_product(x, y)
         shuffled = values[:]
         rng.shuffle(shuffled)
-        assert multiset_equal(values, shuffled, 1e-9)
+        assert match_multisets(values, shuffled, 1e-9)[0]
 
     def test_detects_mismatch(self, rng):
         s = make_space("C3", "sp1")
         e = identity_orbit(s)
         x = random_point(s, rng)
-        assert not multiset_equal([e], [x], 1e-6)
+        assert not match_multisets([e], [x], 1e-6)[0]
 
     def test_size_mismatch_raises(self):
         s = make_space("C2", "sp1")
         e = identity_orbit(s)
         with pytest.raises(SizeMismatch):
-            multiset_equal([e], [e, e], 1e-9)
+            match_multisets([e], [e, e], 1e-9)[0]
 
     def test_single_swapped_entry_fails(self, rng):
         s = make_space("C4", "sp1")
@@ -508,26 +561,28 @@ def test_random_point_respects_separation_floor(rng):
 
 
 class StubRng:
-    """Yields the given gaussians in order; counts how many were drawn."""
+    """Yields the given gaussians in order from standard_normal; counts how
+    many were drawn."""
 
     def __init__(self, values):
         self.values = iter(values)
         self.drawn = 0
 
-    def gauss(self, mu, sigma):
-        self.drawn += 1
-        return next(self.values)
+    def standard_normal(self, size):
+        count = math.prod(size)
+        self.drawn += count
+        return np.array([next(self.values) for _ in range(count)]).reshape(size)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("count", [1, 5, 40])
 def test_batched_draw_matches_successive_random_points(seed, count):
     s = make_space("T", "so3")
-    batch_rng, single_rng = random.Random(seed), random.Random(seed)
+    batch_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     batch = coset._random_points(s, batch_rng, count)
     singles = [random_point(s, single_rng).rep for _ in range(count)]
     assert np.array_equal([_canonical(s, row[None])[0] for row in batch], singles)
-    assert batch_rng.getstate() == single_rng.getstate()
+    assert batch_rng.bit_generator.state == single_rng.bit_generator.state
 
 
 def test_batched_draw_skips_a_fixed_point_in_order():

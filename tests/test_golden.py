@@ -7,6 +7,8 @@ closure drifted below the 12-decimal rounding there, and one of its
 printed digits moved with the closed form (to the correctly rounded one).
 The `mul` digests date from the grouping that measured every pair of
 values; grouping measures only values of nearly equal |w| now.
+The `verify` digests pin the sampled points, drawn from numpy Generators,
+so that a change to the random stream is a visible, deliberate one.
 """
 
 import hashlib
@@ -71,6 +73,16 @@ MUL_DIGESTS = {
     ),
 }
 
+# A reduced `verify --all` sweep, and the README's `verify C2` example.
+VERIFY_DIGESTS = {
+    "--all --json --seed 0 --samples 10 --triples 1": (
+        "86af21a7a7100d6753f935eef4eae7a7495c4456a9953ed1451c632fde44b0ac"
+    ),
+    "C2 --base so3 --samples 50 --triples 10": (
+        "2084f827deb307a17ae4f517062dd9eedfc856ee28769b0377f6dd58b1d3ea3d"
+    ),
+}
+
 
 def digest(argv, capsys) -> str:
     assert main(argv) == 0
@@ -96,3 +108,8 @@ def test_mul_text_and_json_are_unchanged(case, capsys):
     text, as_json = MUL_DIGESTS[case]
     assert digest(argv, capsys) == text
     assert digest(argv + ["--json"], capsys) == as_json
+
+
+@pytest.mark.parametrize("args", VERIFY_DIGESTS)
+def test_verify_samples_are_unchanged(args, capsys):
+    assert digest(["verify", *args.split()], capsys) == VERIFY_DIGESTS[args]

@@ -7,7 +7,6 @@ rotating a 3-vector.  Law-level properties run under hypothesis.
 """
 
 import math
-import random
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from nvalued.quaternion import (
     left_matrix,
     qdist,
     qmul,
-    random_unit,
     random_units,
     right_matrix,
     rotation_of,
@@ -167,8 +165,7 @@ class TestRotationOf:
         axis, angle = rotation_of(q)
         if axis is None:
             return
-        rng = random.Random(7)
-        v = Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
+        v = Vec3(*np.random.default_rng(7).uniform(-1, 1, 3))
         rotated = conj_action(q, v.as_quaternion()).imag
         expected = rodrigues(axis, angle, v)
         assert max(abs(a - b) for a, b in zip(rotated, expected)) < 1e-9
@@ -189,58 +186,44 @@ def test_canonical_sign_identifies_antipodes(q):
 
 
 def test_random_unit_is_unit_and_reproducible():
-    a = [random_unit(random.Random(42)) for _ in range(5)]
-    b = [random_unit(random.Random(42)) for _ in range(5)]
-    assert a == b
-    for q in a:
-        assert abs(q.norm() - 1.0) < 1e-12
+    a = random_units(np.random.default_rng(42), 5)
+    b = random_units(np.random.default_rng(42), 5)
+    assert a.tobytes() == b.tobytes()
+    assert np.abs(np.linalg.norm(a, axis=1) - 1.0).max() < 1e-12
 
 
 @pytest.mark.parametrize("seed, m", [(0, 1), (3, 17), (42, 1000)])
-def test_random_units_are_successive_random_unit_draws(seed, m):
-    a, b = random.Random(seed), random.Random(seed)
-    expected = np.array([tuple(random_unit(a)) for _ in range(m)])
+def test_random_units_are_successive_one_point_draws(seed, m):
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = np.concatenate([random_units(a, 1) for _ in range(m)])
     assert random_units(b, m).tobytes() == expected.tobytes()
-    assert a.getstate() == b.getstate()
+    assert a.bit_generator.state == b.bit_generator.state
 
 
-class ZeroTupleRng:
-    """A seeded gaussian stream whose third 4-tuple is all zeros, which
-    random_unit rejects and redraws."""
-
-    def __init__(self, seed):
-        self.rng = random.Random(seed)
-        self.calls = 0
-
-    def gauss(self, mu, sigma):
-        self.calls += 1
-        value = self.rng.gauss(mu, sigma)
-        return 0.0 if 9 <= self.calls <= 12 else value
+@pytest.mark.parametrize("pieces", [(5, 0, 12), (1, 1, 1, 14), (17,)])
+def test_random_units_in_pieces_equal_one_draw(pieces):
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    expected = random_units(a, sum(pieces))
+    got = np.concatenate([random_units(b, m) for m in pieces])
+    assert got.tobytes() == expected.tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_random_units_of_no_points_draw_nothing():
-    rng = random.Random(0)
-    state = rng.getstate()
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     assert random_units(rng, 0).shape == (0, 4)
-    assert rng.getstate() == state
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("m", [-1, -3])
 def test_random_units_reject_a_negative_count(m):
-    # a negative count of missing points never counts down to zero
     with pytest.raises(ValueError):
-        random_units(random.Random(0), m)
-
-
-def test_random_units_reject_a_zero_tuple_like_random_unit():
-    a, b = ZeroTupleRng(5), ZeroTupleRng(5)
-    expected = np.array([tuple(random_unit(a)) for _ in range(6)])
-    assert random_units(b, 6).tobytes() == expected.tobytes()
-    assert a.calls == b.calls == 4 * 7
+        random_units(np.random.default_rng(0), m)
 
 
 def test_random_unit_covers_all_signs(rng):
-    qs = [random_unit(rng) for _ in range(200)]
+    qs = random_units(rng, 200)
     for i in range(4):
         assert any(q[i] > 0.3 for q in qs)
         assert any(q[i] < -0.3 for q in qs)

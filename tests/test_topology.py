@@ -1,7 +1,6 @@
 """Antipodal equation, suspension structure, branching data, classification."""
 
 import math
-import random
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from nvalued.quaternion import (
     conj_matrix,
     qdist,
     qmul,
-    random_unit,
+    random_units,
 )
 from nvalued.rotgroups import GroupSpec, build_group, catalog, has_half_turn
 from nvalued.topology import (
@@ -118,8 +117,7 @@ class TestSuspension:
         # the real-part row alone gives bit for bit the deviation of the
         # full conjugation images of the same points
         g = build_group(spec)
-        rng = random.Random(0)
-        points = np.array([tuple(random_unit(rng)) for _ in range(1000)])
+        points = random_units(np.random.default_rng(0), 1000)
         poles = np.array([(1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0)])
         mats = conj_matrix(g.element_rows)
         images = np.einsum("kij,mj->mki", mats, points)
