@@ -141,6 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", "run the axiom verification suites", cmd_verify,
         all_help="whole catalog, both bases",
     )
+    # no default base, so that --all can refuse an explicit one
+    p_ver.set_defaults(base=None)
     p_ver.add_argument(
         "--samples",
         type=_sample_count,
@@ -258,7 +260,10 @@ def _chosen_specs(args: argparse.Namespace) -> list[GroupSpec]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     specs = _chosen_specs(args)
-    bases = (Base.SP1, Base.SO3) if args.all else (Base(args.base),)
+    if args.all and args.base is not None:
+        print("error: --all runs both bases; drop --base", file=sys.stderr)
+        raise SystemExit(2)
+    bases = (Base.SP1, Base.SO3) if args.all else (Base(args.base or Base.SP1.value),)
     reports = []
     for spec in specs:
         for base in bases:

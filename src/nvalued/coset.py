@@ -315,20 +315,6 @@ def _product_right(space: CosetSpace, x, y, z) -> np.ndarray:
     return _product(space, np.repeat(x, space.n, axis=0), _product(space, y, z))
 
 
-def orbit_product_left(x: Orbit, y: Orbit, z: Orbit) -> list[Orbit]:
-    """All n^2 values of (x y) z, concatenated over the n values of x y."""
-    _check_space(x.space, (y, z))
-    reps = (np.array([o.rep]) for o in (x, y, z))
-    return _orbits(x.space, _product_left(x.space, *reps))
-
-
-def orbit_product_right(x: Orbit, y: Orbit, z: Orbit) -> list[Orbit]:
-    """All n^2 values of x (y z), concatenated over the n values of y z."""
-    _check_space(x.space, (y, z))
-    reps = (np.array([o.rep]) for o in (x, y, z))
-    return _orbits(x.space, _product_right(x.space, *reps))
-
-
 def orbit_inverse(x: Orbit) -> Orbit:
     """The distinguished inverse: the orbit of the conjugate (equivalently
     the quaternion inverse, for unit representatives)."""

@@ -103,17 +103,6 @@ class GroupSpec:
             return self.family
         return f"{self.family}{self.param}"
 
-    @property
-    def so3_duplicate_of(self) -> Optional[str]:
-        """Label of a catalog group this one is conjugate to inside SO(3).
-
-        D1 consists of the identity and a single half-turn, the same
-        configuration as C2 up to a change of axis; both stay in the catalog.
-        """
-        if self.family == "D" and self.param == 1:
-            return "C2"
-        return None
-
     def __str__(self) -> str:
         return self.label
 
@@ -155,12 +144,12 @@ def _cover(spec: GroupSpec) -> np.ndarray:
     return np.concatenate(units)
 
 
-def same_point(a: np.ndarray, b: np.ndarray, tol: float = EPS_POINT) -> np.ndarray:
+def same_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Whether rows of `a` and `b`, broadcast against each other, lie
-    within Euclidean distance `tol`: the one test of "the same point" for
-    group elements and sphere points."""
+    within Euclidean distance EPS_POINT: the one test of "the same point"
+    for group elements and sphere points."""
     d = a - b
-    return np.einsum("...i,...i->...", d, d) <= tol * tol
+    return np.einsum("...i,...i->...", d, d) <= EPS_POINT * EPS_POINT
 
 
 # A direction with no simple relation to the coordinate axes, along which
@@ -219,35 +208,21 @@ class RotationGroup:
         return f"RotationGroup({self.spec.label}, n={len(self)})"
 
     @property
-    def identity(self) -> Quaternion:
-        return self.elements[self.identity_index]
-
-    @property
     def cover(self) -> list[Quaternion]:
         """The binary cover: the element rows, then their negations."""
         # + 0.0 turns the negative zeros of negated rows into zeros
         rows = np.concatenate([self.element_rows, -self.element_rows]) + 0.0
         return list(map(Quaternion._make, rows.tolist()))
 
-    def index_of(self, g: Quaternion, tol: float = EPS_POINT) -> int:
+    def index_of(self, g: Quaternion) -> int:
         """Index of the rotation covered by g, or NotInGroup.  Either lift
-        of g may lie within `tol` of the stored one; a `tol` that is not
-        >= 0 (NaN too) raises ValueError."""
-        if not tol >= 0.0:
-            raise ValueError(f"tolerance must be >= 0, got {tol}")
+        of g may be the same point as the stored one."""
         q = np.array(g, dtype=float)
         rows = self.element_rows
-        hits = np.flatnonzero(same_point(rows, q, tol) | same_point(rows, -q, tol))
+        hits = np.flatnonzero(same_point(rows, q) | same_point(rows, -q))
         if not len(hits):
             raise NotInGroup(f"{g} is not an element of {self.spec.label}")
         return int(hits[0])
-
-    def contains(self, g: Quaternion, tol: float = EPS_POINT) -> bool:
-        try:
-            self.index_of(g, tol)
-            return True
-        except NotInGroup:
-            return False
 
 
 @lru_cache(maxsize=None)
@@ -295,7 +270,9 @@ def has_half_turn(group: RotationGroup) -> bool:
 
 
 def catalog() -> list[GroupSpec]:
-    """The standard test catalog: C1..C8, D1..D6, T, O, I."""
+    """The standard test catalog: C1..C8, D1..D6, T, O, I.  D1, the
+    identity and one half-turn, is C2 about another axis inside SO(3);
+    both stay in the catalog."""
     specs = [GroupSpec("C", n) for n in range(1, 9)]
     specs += [GroupSpec("D", m) for m in range(1, 7)]
     specs += [GroupSpec("T"), GroupSpec("O"), GroupSpec("I")]

@@ -42,7 +42,7 @@ from .tolerances import EPS_POINT, TOL_RE
 
 
 # Largest sample count for the real-part check, which holds a (samples x
-# order) array: 80 MB at MAX_ORDER.
+# order) array: 80 MB at MAX_ORDER.  check_suspension refuses more.
 MAX_SAMPLES = 10_000
 
 
@@ -64,10 +64,9 @@ class AntipodalSolutions:
 
     solvable: bool
     axis: Optional[Vec3]
-    description: str
 
-    def solution_circle(self, count: int = 32) -> list[Quaternion]:
-        """`count` evenly spaced solutions on the circle."""
+    def solution_circle(self) -> list[Quaternion]:
+        """32 evenly spaced solutions on the circle."""
         if not self.solvable or self.axis is None:
             raise ValueError("the equation has no solutions for this rotation")
         a = self.axis
@@ -75,8 +74,8 @@ class AntipodalSolutions:
         u = Vec3(*(s - a.dot(seed) * c for s, c in zip(seed, a))).normalized()
         v = a.cross(u)
         out = []
-        for k in range(count):
-            t = 2.0 * math.pi * k / count
+        for k in range(32):
+            t = 2.0 * math.pi * k / 32
             c, s = math.cos(t), math.sin(t)
             out.append(
                 Quaternion(0.0, c * u.x + s * v.x, c * u.y + s * v.y, c * u.z + s * v.z)
@@ -93,16 +92,8 @@ def solve_antipodal(q: Quaternion) -> AntipodalSolutions:
     """
     axis, angle = rotation_of(q)
     if axis is not None and abs(angle - math.pi) <= EPS_POINT:
-        return AntipodalSolutions(
-            solvable=True,
-            axis=axis,
-            description="unit circle of imaginary quaternions orthogonal to the axis",
-        )
-    return AntipodalSolutions(
-        solvable=False,
-        axis=None,
-        description="no solutions: the rotation is not a half-turn",
-    )
+        return AntipodalSolutions(solvable=True, axis=axis)
+    return AntipodalSolutions(solvable=False, axis=None)
 
 
 def tau_has_fixed_points(group: RotationGroup) -> bool:
@@ -135,6 +126,8 @@ def check_suspension(
     what stratifies the quotient into levels of the real part."""
     if samples < 1:
         raise ValueError(f"check_suspension needs at least one sample, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"check_suspension takes at most {MAX_SAMPLES}, got {samples}")
     points = random_units(np.random.default_rng(seed), samples)
     # -q conjugates exactly like q, so the elements stand for the cover.
     mats = conj_matrix(group.element_rows)
@@ -168,7 +161,6 @@ class SingularOrbitData:
     """All singular orbits of the induced action on the 2-sphere."""
 
     orbits: tuple[SphereOrbit, ...]
-    group_order: int
 
     @property
     def signature(self) -> tuple[int, ...]:
@@ -221,7 +213,7 @@ def singular_orbits(group: RotationGroup) -> SingularOrbitData:
         orbits.append(SphereOrbit(tuple(ordered), nu))
 
     orbits.sort(key=lambda o: (o.stabilizer_order, rounded_key(o.points[0])))
-    return SingularOrbitData(tuple(orbits), n)
+    return SingularOrbitData(tuple(orbits))
 
 
 def riemann_hurwitz_check(group: RotationGroup) -> bool:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, strategies as st
 
 import nvalued
-from nvalued.coset import Base, CosetSpace
+from nvalued.coset import Base, CosetSpace, _orbits, _product_left, _product_right
 from nvalued.quaternion import Quaternion, left_matrix
 from nvalued.rotgroups import GroupSpec, RotationGroup, build_group
 
@@ -16,6 +16,17 @@ from nvalued.rotgroups import GroupSpec, RotationGroup, build_group
 def make_space(label: str, base: str) -> CosetSpace:
     """Shared space cache so tests do not rebuild groups over and over."""
     return CosetSpace(build_group(GroupSpec.parse(label)), Base(base))
+
+
+def triple_products(x, y, z):
+    """The n^2 values of (x y) z and of x (y z), as lists of orbits of the
+    space of x, from the kernels that the associativity check runs."""
+    space = x.space
+    reps = [np.array([o.rep]) for o in (x, y, z)]
+    return (
+        _orbits(space, _product_left(space, *reps)),
+        _orbits(space, _product_right(space, *reps)),
+    )
 
 
 def subprocess_env() -> dict:

@@ -152,7 +152,7 @@ def test_criterion_6_antipodal_equation():
             conj = np.asarray(conj_matrix(q))
             if sol.solvable:
                 assert abs(angle - math.pi) < 1e-6
-                for x in sol.solution_circle(32):
+                for x in sol.solution_circle():
                     vec = np.array([0.0, x.x, x.y, x.z])
                     residual = np.linalg.norm(conj @ vec + vec)
                     assert residual < 1e-9, f"{spec.label}: residual {residual:.3e}"

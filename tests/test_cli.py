@@ -215,12 +215,23 @@ def test_verify_json_fields(capsys):
     assert {r["axiom"] for r in data["reports"]} == {
         "identity", "inverse", "associativity", "well_defined",
     }
+    assert {r["space"] for r in data["reports"]} == {"C3@sp1"}
 
 
 def test_verify_rejects_spec_with_all(capsys):
     code, _, err = run_cli(["verify", "C2", "--all"], capsys)
     assert code == 2
     assert "exactly one" in err
+
+
+@pytest.mark.parametrize("base", ["sp1", "so3"])
+def test_verify_all_rejects_a_base(capsys, base):
+    # --all runs both bases; a --base beside it would be ignored
+    argv = ["verify", "--all", "--base", base, "--samples", "1", "--triples", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "--base" in err
+    assert out == ""
 
 
 def test_verify_requires_spec_or_all(capsys):

@@ -26,8 +26,6 @@ from nvalued.coset import (
     orbit_distance,
     orbit_inverse,
     orbit_product,
-    orbit_product_left,
-    orbit_product_right,
     product_from_representatives,
     project,
     random_point,
@@ -38,7 +36,9 @@ from nvalued.quaternion import (
 from nvalued.rotgroups import GroupSpec, build_group, catalog
 from nvalued.tolerances import EPS_POINT, SEPARATION_FACTOR, TOL_AXIOM
 
-from .conftest import equator_quaternions, make_space, unit_quaternions
+from .conftest import (
+    equator_quaternions, make_space, triple_products, unit_quaternions,
+)
 
 SMALL_SPACES = [
     ("C1", "sp1"), ("C1", "so3"),
@@ -91,8 +91,6 @@ class TestMixedSpaces:
         calls = [
             lambda: orbit_distance(x, y),
             lambda: orbit_product(x, y),
-            lambda: orbit_product_left(x, x, y),
-            lambda: orbit_product_right(x, y, x),
             lambda: match_multisets([x], [y], 1e-6),
             lambda: match_multisets([x, y], [x, x], 1e-6),
         ]
@@ -107,7 +105,7 @@ class TestMixedSpaces:
         x, y = project(s, QI), project(t, QI)
         assert orbit_distance(x, y) < 1e-12
         assert match_multisets(orbit_product(x, x), orbit_product(y, y), 1e-9)[0]
-        assert len(orbit_product_left(x, y, x)) == len(orbit_product_right(y, x, y)) == 9
+        assert [len(v) for v in triple_products(x, y, x)] == [9, 9]
 
 
 def reference_canonical(space, point):
@@ -316,16 +314,14 @@ class TestProduct:
     def test_triple_products_have_n_squared_entries(self, rng):
         s = make_space("C3", "sp1")
         x, y, z = (random_point(s, rng) for _ in range(3))
-        assert len(orbit_product_left(x, y, z)) == 9
-        assert len(orbit_product_right(x, y, z)) == 9
+        assert [len(v) for v in triple_products(x, y, z)] == [9, 9]
 
     def test_c2_triple_ijk_multiset(self):
         # (ij)k = kk = -1; expanding all four branch products by hand gives
         # the multiset {e, e, class(-1), class(-1)} from either side
         s = make_space("C2", "sp1")
         x, y, z = (project(s, q) for q in (QI, QJ, QK))
-        left = orbit_product_left(x, y, z)
-        right = orbit_product_right(x, y, z)
+        left, right = triple_products(x, y, z)
         assert match_multisets(left, right, 1e-9)[0]
         e, m = identity_orbit(s), project(s, -ONE)
         assert sum(1 for v in left if orbit_distance(v, e) < 1e-9) == 2
@@ -341,8 +337,9 @@ class TestProduct:
         x, y, z = (random_point(s, rng) for _ in range(3))
         left = [v for xy in orbit_product(x, y) for v in orbit_product(xy, z)]
         right = [v for yz in orbit_product(y, z) for v in orbit_product(x, yz)]
-        assert np.abs(reps(orbit_product_left(x, y, z)) - reps(left)).max() <= 1e-14
-        assert np.abs(reps(orbit_product_right(x, y, z)) - reps(right)).max() <= 1e-14
+        batched = triple_products(x, y, z)
+        assert np.abs(reps(batched[0]) - reps(left)).max() <= 1e-14
+        assert np.abs(reps(batched[1]) - reps(right)).max() <= 1e-14
 
     def test_so3_product_same_from_either_lift(self, rng):
         s = make_space("D2", "so3")
@@ -406,9 +403,7 @@ class TestMultisets:
     def test_matched_deviation_is_small_for_true_matches(self, rng):
         s = make_space("O", "so3")
         x, y, z = (random_point(s, rng) for _ in range(3))
-        ok, dev = match_multisets(
-            orbit_product_left(x, y, z), orbit_product_right(x, y, z), 1e-6
-        )
+        ok, dev = match_multisets(*triple_products(x, y, z), 1e-6)
         assert ok and dev < 1e-10
 
     def test_non_finite_values_never_match(self, rng):

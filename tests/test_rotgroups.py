@@ -94,7 +94,7 @@ def test_icosahedral_cover_holds_the_odd_permutations_only():
         for signs in itertools.product((1.0, -1.0), repeat=3):
             row = np.zeros(4)
             row[list(perm)] = [c * s for c, s in zip(halves, (*signs, 1.0))]
-            found[parity] += bool(same_point(cover, row, 1e-12).any())
+            found[parity] += bool((np.linalg.norm(cover - row, axis=1) <= 1e-12).any())
     assert found == {0: 0, 1: 96}
 
 
@@ -102,7 +102,7 @@ def test_icosahedral_cover_holds_the_odd_permutations_only():
 def test_inverses_present(label):
     g = build_group(GroupSpec.parse(label))
     for q in g.cover:
-        assert g.contains(q.conjugate())
+        g.index_of(q.conjugate())
         assert any(qdist(q.conjugate(), c) < 1e-9 for c in g.cover)
 
 
@@ -116,7 +116,7 @@ def test_c2_cover_is_pm_one_pm_k():
 def test_c1_degenerates_to_identity():
     g = build_group(GroupSpec.parse("C1"))
     assert len(g) == 1
-    assert qdist(g.identity, ONE) < 1e-15
+    assert qdist(g.elements[g.identity_index], ONE) < 1e-15
     assert sorted(round(q.w) for q in g.cover) == [-1, 1]
 
 
@@ -158,20 +158,14 @@ def test_spec_accepts_order_at_limit():
     assert GroupSpec.parse("C1000").order == MAX_ORDER
 
 
-def test_d1_flagged_as_duplicate_of_c2():
-    assert GroupSpec.parse("D1").so3_duplicate_of == "C2"
-    assert GroupSpec.parse("D2").so3_duplicate_of is None
-    assert GroupSpec.parse("C2").so3_duplicate_of is None
-
-
 class TestElementOrder:
     def test_identity(self):
         g = build_group(GroupSpec.parse("C4"))
-        assert element_order(g.identity, g) == 1
+        assert element_order(g.elements[g.identity_index], g) == 1
 
     def test_half_turn(self):
         g = build_group(GroupSpec.parse("C2"))
-        half = next(q for q in g.elements if qdist(q, g.identity) > 1e-9)
+        half = next(q for i, q in enumerate(g.elements) if i != g.identity_index)
         assert element_order(half, g) == 2
 
     def test_five_fold_in_icosahedral(self):
@@ -293,7 +287,7 @@ def test_corrupted_copy_keeps_the_identity_and_the_cover_size(label):
     g = build_group(GroupSpec.parse(label))
     bad = corrupted_copy(g)
     assert bad.identity_index == g.identity_index
-    assert bad.identity == g.identity
+    assert bad.elements[bad.identity_index] == g.elements[g.identity_index]
     assert len(bad.cover) == 2 * len(g)
 
 
@@ -311,27 +305,6 @@ def test_index_of_rejects_slightly_rotated_elements(label):
     for q in g.elements:
         with pytest.raises(NotInGroup):
             g.index_of(qmul(q, tweak).normalized())
-
-
-def test_contains_either_lift_at_a_loose_tolerance():
-    # canonical_sign would flip this lift to w = +2e-9, z = -1, two units
-    # away from the stored half-turn; the rotation itself is 2e-9 away
-    g = build_group(GroupSpec.parse("C2"))
-    q = Quaternion(-2e-9, 0.0, 0.0, 1.0).normalized()
-    assert g.contains(q, tol=1e-6)
-    assert g.index_of(q, tol=1e-6) == g.index_of(QK)
-    assert not g.contains(q)
-
-
-@pytest.mark.parametrize("tol", [-1.0, math.nan])
-def test_index_of_rejects_a_negative_or_nan_tolerance(tol):
-    # a squared distance is <= tol * tol = 1 for a tolerance of -1
-    g = build_group(GroupSpec.parse("C2"))
-    q = Quaternion(0.8, 0.6, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        g.index_of(q, tol=tol)
-    with pytest.raises(ValueError):
-        g.contains(q, tol=tol)
 
 
 def test_match_rows_agrees_with_every_pair():

@@ -18,15 +18,13 @@ from nvalued.coset import (
     orbit_distance,
     orbit_inverse,
     orbit_product,
-    orbit_product_left,
-    orbit_product_right,
     project,
 )
 from nvalued.quaternion import ONE, Quaternion
 from nvalued.tolerances import TOL_AXIOM
 from nvalued.topology import singular_orbits
 
-from .conftest import make_space
+from .conftest import make_space, triple_products
 
 SPACES = [
     (label, base) for label in ("C2", "D3", "T", "O", "I") for base in ("sp1", "so3")
@@ -95,9 +93,7 @@ FULL_FALLBACK = {("I", "so3"): (15,)}
 def associative_at(points, i):
     m = len(points)
     x, y, z = points[i], points[(i + 1) % m], points[(i + 2) % m]
-    left = orbit_product_left(x, y, z)
-    right = orbit_product_right(x, y, z)
-    matched, deviation = match_multisets(left, right, TOL_AXIOM)
+    matched, deviation = match_multisets(*triple_products(x, y, z), TOL_AXIOM)
     assert matched, (x.rep, y.rep, z.rep, deviation)
 
 

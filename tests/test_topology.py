@@ -20,6 +20,7 @@ from nvalued.quaternion import (
 )
 from nvalued.rotgroups import GroupSpec, build_group, catalog, has_half_turn
 from nvalued.topology import (
+    MAX_SAMPLES,
     ConsistencyFailure,
     IdentityViolation,
     check_suspension,
@@ -63,14 +64,11 @@ class TestAntipodal:
         for q in (QK, QI, qmul(QI, QJ)):
             sol = solve_antipodal(q)
             assert sol.solvable
-            for x in sol.solution_circle(32):
+            for x in sol.solution_circle():
                 residual = qdist(conj_action(q, x), -x)
                 assert residual < 1e-9
                 assert abs(x.norm() - 1.0) < 1e-12
                 assert x.w == 0.0
-
-    def test_circle_count(self):
-        assert len(solve_antipodal(QK).solution_circle(7)) == 7
 
     def test_near_half_turn_grid_has_no_solution(self):
         # rotation by 3/4 pi: closest non-half-turn angle in the catalog
@@ -142,6 +140,18 @@ def test_suspension_needs_a_sample(samples):
         classify(Base.SO3, spec, samples=samples)
 
 
+def test_suspension_caps_the_sample_count():
+    # the cap bounds the (samples x order) array; C3 keeps the refused
+    # call small should the cap be missing
+    spec = GroupSpec.parse("C3")
+    with pytest.raises(ValueError, match=f"at most {MAX_SAMPLES}"):
+        check_suspension(build_group(spec), samples=MAX_SAMPLES + 1)
+    with pytest.raises(ValueError, match=f"at most {MAX_SAMPLES}"):
+        classify(Base.SO3, spec, samples=MAX_SAMPLES + 1)
+    report = check_suspension(build_group(GroupSpec.parse("C1")), samples=MAX_SAMPLES)
+    assert report.samples == MAX_SAMPLES and report.passed
+
+
 @pytest.mark.parametrize("label", [s.label for s in catalog()] + ["C1000", "D500"])
 def test_tau_scan_of_the_elements_agrees_with_the_full_cover(label):
     g = build_group(GroupSpec.parse(label))
@@ -172,9 +182,9 @@ class TestSingularOrbits:
 
     def test_orbit_stabilizer_identity(self):
         for label in ("D3", "O"):
-            data = singular_orbits(build_group(GroupSpec.parse(label)))
-            for orbit in data.orbits:
-                assert len(orbit.points) * orbit.stabilizer_order == data.group_order
+            group = build_group(GroupSpec.parse(label))
+            for orbit in singular_orbits(group).orbits:
+                assert len(orbit.points) * orbit.stabilizer_order == len(group)
 
     @pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.label)
     def test_branching_identity(self, spec):
