@@ -18,6 +18,7 @@ import numpy as np
 from .coset import (
     CosetSpace,
     _canonical,
+    _distances,
     _distances_to_identity,
     _match,
     _orbits,
@@ -25,6 +26,8 @@ from .coset import (
     _product_left,
     _product_right,
     _random_points,
+    _raw_product,
+    _witnessed,
     identity_orbit,
     orbit_distance,
 )
@@ -176,20 +179,102 @@ def default_triples(space: CosetSpace) -> int:
     return 20 if space.n >= 60 else 50
 
 
+def _permutations(index: np.ndarray) -> np.ndarray:
+    """Whether each row of an (m, k) array of indices in [0, k) is a
+    permutation: k indices that hit all k slots."""
+    m, k = index.shape
+    hit = np.zeros((m, k), dtype=bool)
+    hit[np.arange(m)[:, None], index] = True
+    return hit.all(axis=1)
+
+
+def _witnessed_associativity(
+    space: CosetSpace, x: np.ndarray, y: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """Deviation of (x y) z from x (y z) for each row of the (m, 4) arrays,
+    on a space whose group has its tables, with each value of one side
+    paired to the value of the other that the witnesses name.
+
+    Write P(g, h) = x g(y) h(z), and let s_i a_i and t_l b_l be the
+    witnesses of the i-th value of x y and the l-th value of y z.  Then
+    value (i, j) of (x y) z is L = s_i a_i(P(g_i, a_i^-1 g_j)), and value
+    (l, k) of x (y z) is R = t_l P(g_k b_l, g_k b_l g_l), so the two are
+    one orbit at g_l = g_i^-1 a_i^-1 g_j and g_k = g_i b_l^-1, where
+    L = s_i t_l a_i(R).  The deviation is the largest |L - s_i t_l a_i(R)|
+    over the pairs; it is inf unless the pairing is a bijection.  The
+    values are compared as computed, before canonicalization."""
+    mul, inv = space.group._table
+    n, m = space.n, len(x)
+    xy, a, s = _witnessed(space, _raw_product(space, x, y).reshape(-1, 4))
+    yz, b, t = _witnessed(space, _raw_product(space, y, z).reshape(-1, 4))
+    a, s, b, t = (v.reshape(m, n) for v in (a, s, b, t))
+    left = _raw_product(space, xy, np.repeat(z, n, axis=0)).reshape(m, n, n, 4)
+    right = _raw_product(space, np.repeat(x, n, axis=0), yz).reshape(m, n * n, 4)
+
+    # For each trial and each (i, j): l, then k, as above, and the row
+    # l * n + k of the values of x (y z) that pairs with (i, j).
+    trial = np.arange(m)[:, None, None]
+    i = np.arange(n)[:, None]
+    l = mul[inv[i], mul[inv[a]]]
+    k = mul[i, inv[b[trial, l]]]
+    pair = (l * n + k).reshape(m, n * n)
+    act = space._act_stack.reshape(n, 4, 4)
+    moved = right[np.arange(m)[:, None], pair].reshape(m, n, n, 4)
+    moved = moved @ act[a].transpose(0, 1, 3, 2)
+    # s and t hold where a witness negates, so s_i t_l is -1 where one does
+    sign = np.where(s[:, :, None] ^ t[trial, l], -1.0, 1.0)
+    diffs = left - sign[..., None] * moved
+    dev = np.sqrt(np.einsum("tijc,tijc->tij", diffs, diffs)).max(axis=(1, 2))
+    return np.where(_permutations(pair), dev, np.inf)
+
+
+def _witnessed_well_defined(
+    space: CosetSpace,
+    want: np.ndarray,
+    got: np.ndarray,
+    moves: np.ndarray,
+    tol: float,
+) -> np.ndarray:
+    """Deviation between the (m, n, 4) canonical product values `want` of
+    pairs (p, q) and `got` of the moved pairs (a(p), b(q)), on a space
+    whose group has its tables, where row t of the (m, 2) array `moves`
+    holds the indices of a and b.  The j-th moved value a(p) g_j(b(q)) is
+    a(p g_i(q)) with g_i = a^-1 g_j b, an image of the i-th value, so the
+    two are paired.  As in `_match`, a pair is compared by the plain
+    distance, and by the orbit distance when that is over `tol`; the
+    deviation is inf unless the pairing is a bijection."""
+    mul, inv = space.group._table
+    m = len(want)
+    index = mul[mul[inv[moves[:, :1]], np.arange(space.n)], moves[:, 1:]]
+    paired = want[np.arange(m)[:, None], index]
+    diffs = paired - got
+    dist = np.sqrt(np.einsum("tjc,tjc->tj", diffs, diffs))
+    far = dist > tol
+    if far.any():
+        dist[far] = _distances(space, paired[far], got[far])
+    return np.where(_permutations(index), dist.max(axis=1), np.inf)
+
+
 def check_associativity(
     space: CosetSpace,
     triples: Optional[int] = None,
     seed: int = 0,
     tol: float = TOL_AXIOM,
 ) -> AxiomReport:
-    """(x y) z and x (y z), each an n^2-element multiset, must agree."""
+    """(x y) z and x (y z), each an n^2-element multiset, must agree.  On a
+    group with its tables the values are paired by their witnesses; on a
+    set that is not closed, such as a corrupted copy, both multisets are
+    canonicalized and matched."""
     if triples is None:
         triples = default_triples(space)
     n = space.n
+    closed = space.group._table is not None
 
     def block(rng: np.random.Generator, count: int) -> list[float]:
         points = _sample(space, rng, 3 * count).reshape(count, 3, 4)
         x, y, z = points.transpose(1, 0, 2)
+        if closed:
+            return _witnessed_associativity(space, x, y, z)
         left = _product_left(space, x, y, z).reshape(count, n * n, 4)
         right = _product_right(space, x, y, z).reshape(count, n * n, 4)
         return [_match(space, a, b, tol)[1] for a, b in zip(left, right)]
@@ -203,9 +288,11 @@ def check_well_defined(
     space: CosetSpace, samples: int = 100, seed: int = 0, tol: float = TOL_AXIOM
 ) -> AxiomReport:
     """The product multiset must not depend on which representatives of the
-    two classes it is computed from."""
+    two classes it is computed from.  The values are paired by the moves
+    on a group with its tables, and matched on a set that is not closed."""
     n = space.n
     moves = np.random.default_rng([seed, 1])
+    closed = space.group._table is not None
 
     def block(rng: np.random.Generator, count: int) -> list[float]:
         # Per trial: two points, each moved to another representative of its
@@ -218,6 +305,9 @@ def check_well_defined(
         moved = images[np.arange(2 * count), chosen]
         want = _product(space, pairs[0::2], pairs[1::2]).reshape(count, n, 4)
         got = _product(space, moved[0::2], moved[1::2]).reshape(count, n, 4)
+        if closed:
+            elements = (chosen % n).reshape(count, 2)
+            return _witnessed_well_defined(space, want, got, elements, tol)
         return [_match(space, p, q, tol)[1] for p, q in zip(want, got)]
 
     return _run_trials(space, "well_defined", samples, seed, tol, 2 * n, block)

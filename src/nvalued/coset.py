@@ -174,34 +174,52 @@ def _canonical(space: CosetSpace, points: np.ndarray) -> np.ndarray:
     are points of the same orbit, so orbit distance and multiset matching
     absorb the jump.
     """
+    return _witnessed(space, points)[0]
+
+
+def _witnessed(
+    space: CosetSpace, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_canonical` with its witness: (reps, elements, negated), where row
+    t of reps is g(q), negated where negated[t] holds, for g the group
+    element of index elements[t] and q row t of `points` normalized."""
     if len(points) <= space._block_rows:
         return _canonical_block(space, points)
-    return np.concatenate(
-        [_canonical_block(space, points[b]) for b in _blocks(space, len(points))]
-    )
+    parts = [_canonical_block(space, points[b]) for b in _blocks(space, len(points))]
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _canonical_block(space: CosetSpace, points: np.ndarray) -> np.ndarray:
+def _canonical_block(
+    space: CosetSpace, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Every image shares the real part of its point, which therefore decides
     # nothing on the quaternion base.  On the rotation base it decides the
     # lift sign: the positive one wins by more than EPS_POINT unless
     # |w| <= EPS_POINT / 2, and only those rows compare both signs.
     q = normalized_rows(points)
-    both = np.empty(0, dtype=int)
     if space.base is Base.SO3:
-        q = np.where(q[:, :1] < 0.0, -q, q)
+        flip = q[:, :1] < 0.0
+        q = np.where(flip, -q, q)
+        negated = flip[:, 0]
         both = np.flatnonzero(q[:, 0] <= EPS_POINT / 2)
+    else:
+        negated = np.zeros(len(q), dtype=bool)
+        both = np.empty(0, dtype=int)
     m = len(q)
     images = (q[:, 1:] @ space._rot_cols).reshape(m, 3, -1)
+    elements = _lexmax(images)
     reps = np.empty_like(q)
     reps[:, 0] = q[:, 0]
-    reps[:, 1:] = images[np.arange(m), :, _lexmax(images)]
+    reps[:, 1:] = images[np.arange(m), :, elements]
     if len(both):
         w = np.broadcast_to(q[both, :1, None], (len(both), 1, images.shape[2]))
         signed = np.concatenate([w, images[both]], axis=1)
         signed = np.concatenate([signed, -signed], axis=2)
-        reps[both] = signed[np.arange(len(both)), :, _lexmax(signed)]
-    return reps
+        pick = _lexmax(signed)
+        reps[both] = signed[np.arange(len(both)), :, pick]
+        elements[both] = pick % space.n
+        negated[both] ^= pick >= space.n
+    return reps, elements, negated
 
 
 def _lexmax(images: np.ndarray) -> np.ndarray:
@@ -261,12 +279,16 @@ def _distances_to_identity(space: CosetSpace, values: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _raw_product(space: CosetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] * g(b[i]) for every group element g, as an (m, n, 4) array.
+    `a` and `b` are (m, 4) arrays, or one of them (1, 4)."""
+    return space.act_images(b) @ left_matrix(a).transpose(0, 2, 1)
+
+
 def _product(space: CosetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Canonical representatives of a[i] * g(b[i]) for every group element
-    g, as n consecutive rows per i.  `a` and `b` are (m, 4) arrays, or one
-    of them (1, 4)."""
-    values = space.act_images(b) @ left_matrix(a).transpose(0, 2, 1)
-    return _canonical(space, values.reshape(-1, 4))
+    """Canonical representatives of the raw product, as n consecutive rows
+    per i."""
+    return _canonical(space, _raw_product(space, a, b).reshape(-1, 4))
 
 
 def project(space: CosetSpace, w: Quaternion) -> Orbit:

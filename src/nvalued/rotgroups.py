@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ from .quaternion import (
     ONE,
     Quaternion,
     canonical_sign,
+    left_matrix,
     qdist,
     qmul,
     rounded_key,
@@ -188,8 +189,9 @@ class RotationGroup:
     identity (else ClosureFailure).
 
     `element_rows` keeps the rows in the given order and `elements` holds
-    them as Quaternions; `cover`, both lifts of every element, is derived
-    from them.  Instances are immutable by convention and safe to share.
+    them as Quaternions; `cover`, both lifts of every element, and the
+    group tables are derived from them.  Instances are immutable by
+    convention and safe to share.
     """
 
     def __init__(self, spec: GroupSpec, rows: Sequence[Sequence[float]]):
@@ -223,6 +225,27 @@ class RotationGroup:
         if not len(hits):
             raise NotInGroup(f"{g} is not an element of {self.spec.label}")
         return int(hits[0])
+
+    @cached_property
+    def _table(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """The multiplication table, whose entry [i, j] is the index of
+        g_i g_j, and the inverse table, whose entry i is the index of
+        g_i^-1; None when a product or an inverse is not an element, as for
+        a set that is not closed.  A product of two stored lifts is either
+        lift of an element, so both are looked up."""
+        rows = self.element_rows
+        n = len(rows)
+        products = (left_matrix(rows) @ rows.T).transpose(0, 2, 1).reshape(-1, 4)
+        found = match_rows(rows, products)
+        miss = np.flatnonzero(found < 0)
+        found[miss] = match_rows(rows, -products[miss])
+        if (found < 0).any():
+            return None
+        mul = found.reshape(n, n)
+        is_identity = mul == self.identity_index
+        if not is_identity.any(axis=1).all():
+            return None
+        return mul, is_identity.argmax(axis=1)
 
 
 @lru_cache(maxsize=None)

@@ -5,11 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nvalued import axioms
 from nvalued.axioms import (
     AxiomReport,
     _run_trials,
+    _sample,
+    _witnessed_associativity,
+    _witnessed_well_defined,
     check_associativity,
     check_identity,
     check_inverse,
@@ -22,6 +26,10 @@ from nvalued.coset import (
     Base,
     CosetSpace,
     Orbit,
+    _match,
+    _product,
+    _product_left,
+    _product_right,
     identity_orbit,
     match_multisets,
     orbit_distance,
@@ -29,8 +37,8 @@ from nvalued.coset import (
     orbit_product,
     random_point,
 )
-from nvalued.quaternion import conj_action
-from nvalued.rotgroups import GroupSpec, build_group
+from nvalued.quaternion import conj_action, random_units
+from nvalued.rotgroups import GroupSpec, RotationGroup, build_group, catalog
 from nvalued.tolerances import TOL_AXIOM
 
 from .conftest import make_space
@@ -277,3 +285,98 @@ def test_inverse_check_sees_a_break_too():
     r = check_inverse(CosetSpace(bad, Base.SP1), samples=10, seed=3)
     assert r.trials == 10
     assert r.max_deviation >= 0.0
+
+
+def with_table(label, base, table):
+    """The space of a fresh copy of the group, with `table` as its tables."""
+    group = build_group(GroupSpec.parse(label))
+    copy = RotationGroup(group.spec, group.element_rows)
+    copy._table = table
+    return CosetSpace(copy, base)
+
+
+@pytest.mark.parametrize("base", ["sp1", "so3"])
+@pytest.mark.parametrize("label", ["O", "I"])
+def test_a_wrong_table_fails_every_trial(label, base):
+    mul, inv = build_group(GroupSpec.parse(label))._table
+    space = with_table(label, base, (np.roll(mul, 1, axis=1), inv))
+    for report in (
+        check_associativity(space, triples=5, seed=0),
+        check_well_defined(space, samples=5, seed=0),
+    ):
+        assert report.failures == report.trials == 5, report
+        assert report.max_deviation > 0.1
+
+
+@pytest.mark.parametrize("base", ["sp1", "so3"])
+def test_a_pairing_that_is_no_bijection_fails_as_inf(base):
+    mul, inv = build_group(GroupSpec.parse("T"))._table
+    space = with_table("T", base, (np.zeros_like(mul), inv))
+    for report in (
+        check_associativity(space, triples=3, seed=0),
+        check_well_defined(space, samples=3, seed=0),
+    ):
+        assert report.failures == report.trials == 3, report
+        assert report.max_deviation == math.inf
+
+
+def generic_reports(space, triples, samples, seed, tol=TOL_AXIOM):
+    """check_associativity and check_well_defined computed by canonicalizing
+    every value and matching the two multisets with `_match`, one block."""
+    n = space.n
+
+    def associativity(rng, count):
+        x, y, z = _sample(space, rng, 3 * count).reshape(count, 3, 4).transpose(1, 0, 2)
+        left = _product_left(space, x, y, z).reshape(count, n * n, 4)
+        right = _product_right(space, x, y, z).reshape(count, n * n, 4)
+        return [_match(space, a, b, tol)[1] for a, b in zip(left, right)]
+
+    moves = np.random.default_rng([seed, 1])
+
+    def well_defined(rng, count):
+        pairs = _sample(space, rng, 2 * count)
+        images = space.canon_images(pairs)
+        chosen = moves.integers(images.shape[1], size=(count, 2)).ravel()
+        moved = images[np.arange(2 * count), chosen]
+        want = _product(space, pairs[0::2], pairs[1::2]).reshape(count, n, 4)
+        got = _product(space, moved[0::2], moved[1::2]).reshape(count, n, 4)
+        return [_match(space, p, q, tol)[1] for p, q in zip(want, got)]
+
+    return [
+        _run_trials(space, "associativity", triples, seed, tol, 1, associativity),
+        _run_trials(space, "well_defined", samples, seed, tol, 1, well_defined),
+    ]
+
+
+@pytest.mark.parametrize("base", [Base.SP1, Base.SO3])
+@pytest.mark.parametrize("angle", [0.1, 1e-5])
+@pytest.mark.parametrize("label", ["C3", "T", "I"])
+def test_a_set_that_is_not_closed_takes_the_generic_matching(label, angle, base):
+    bad = corrupted_copy(build_group(GroupSpec.parse(label)), extra_angle=angle)
+    space = CosetSpace(bad, base)
+    got = [
+        check_associativity(space, triples=4, seed=5),
+        check_well_defined(space, samples=10, seed=5),
+    ]
+    assert got == generic_reports(space, triples=4, samples=10, seed=5)
+
+
+CATALOG_SPACES = [(s.label, base) for s in catalog() for base in ("sp1", "so3")]
+
+
+@pytest.mark.parametrize("label, base", CATALOG_SPACES)
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_witnessed_pairing_is_exact_up_to_rounding(label, base, seed):
+    # A pairing that is no bijection reads inf, so a bound on every
+    # deviation also says that each trial was paired one to one.
+    space = make_space(label, base)
+    rng = np.random.default_rng(seed)
+    x, y, z = random_units(rng, 9).reshape(3, 3, 4)
+    assert _witnessed_associativity(space, x, y, z).max() <= 1e-12
+    moves = rng.integers(space.n, size=(3, 2))
+    act = space._act_stack.reshape(-1, 4, 4)
+    moved = [np.einsum("tij,tj->ti", act[moves[:, k]], p) for k, p in enumerate((x, y))]
+    want = _product(space, x, y).reshape(3, space.n, 4)
+    got = _product(space, *moved).reshape(3, space.n, 4)
+    assert _witnessed_well_defined(space, want, got, moves, 1e-12).max() <= 1e-12

@@ -182,7 +182,11 @@ class TestProject:
         blocks = coset._blocks(s, m)
         assert [i for b in blocks for i in range(m)[b]] == list(range(m))
         assert max(b.stop - b.start for b in blocks) <= s._block_rows
-        assert np.array_equal(_canonical(s, points), coset._canonical_block(s, points))
+        one = coset._canonical_block(s, points)
+        assert np.array_equal(_canonical(s, points), one[0])
+        # the witnesses (element indices, lift signs) too
+        for blocked, whole in zip(coset._witnessed(s, points), one):
+            assert np.array_equal(blocked, whole)
 
     def test_identity_orbit_rep_is_one(self):
         for label, base in SMALL_SPACES:

@@ -335,3 +335,34 @@ def test_match_rows_agrees_with_every_pair():
     # last ten has a match, however the window orders them
     points = np.concatenate([points, shadows, points[:5]])
     assert (match_rows(points, queries)[:80] >= 0).all()
+
+
+@pytest.mark.parametrize("label", [*CATALOG_ORDERS, "D54"])
+def test_tables_are_the_group_law(label):
+    g = build_group(GroupSpec.parse(label))
+    mul, inv = g._table
+    n = len(g)
+    for i, a in enumerate(g.elements):
+        assert g.index_of(a.conjugate()) == inv[i]
+        if n <= 12 or i % 7 == 0:
+            assert [g.index_of(qmul(a, b)) for b in g.elements] == list(mul[i])
+    # each row and each column is a permutation
+    assert (np.sort(mul, axis=0) == np.arange(n)[:, None]).all()
+    assert (np.sort(mul, axis=1) == np.arange(n)).all()
+
+
+@pytest.mark.parametrize("angle", [0.1, 1e-5])
+@pytest.mark.parametrize("label", ["C3", "T", "I"])
+def test_a_set_that_is_not_closed_has_no_tables(label, angle):
+    bad = corrupted_copy(build_group(GroupSpec.parse(label)), extra_angle=angle)
+    assert bad._table is None
+
+
+@pytest.mark.parametrize("angle", [0.1, 1e-5])
+def test_the_corrupted_copy_of_d1_is_still_a_group(angle):
+    # its half-turn about x becomes a half-turn about a tilted axis
+    bad = corrupted_copy(build_group(GroupSpec.parse("D1")), extra_angle=angle)
+    mul, inv = bad._table
+    e = bad.identity_index
+    assert mul.tolist() == [[e, 1 - e], [1 - e, e]]
+    assert inv.tolist() == [0, 1]

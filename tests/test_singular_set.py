@@ -4,7 +4,9 @@ Identity, inverse and associativity through the public functions at
 `TOL_AXIOM`, on points whose stabilizer is not trivial or nearly so: exact
 axis points with real part 0 and +-0.6, the poles +-1, and points 1e-10 to
 1e-6 off an axis.  Ties between images are exact there, which is where a
-canonicalization or a matching could go wrong.
+canonicalization or a matching could go wrong.  Associativity is checked
+twice: by the generic matching of `match_multisets`, and by the pairing
+through canonicalization witnesses that the associativity check runs.
 """
 
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from nvalued.axioms import _witnessed_associativity
 from nvalued.coset import (
     identity_orbit,
     match_multisets,
@@ -78,8 +81,9 @@ def test_inverse_on_the_singular_set(label, base):
 
 
 # Consecutive singular points (x, y, z) = points[i], points[i + 1],
-# points[i + 2], wrapping around the list, by the index i.  These ones are
-# left to the multiset-matching rework (ROADMAP open item 2):
+# points[i + 2], wrapping around the list, by the index i.  The generic
+# matching gets these ones wrong (ROADMAP open item 3); the witnessed
+# pairing passes them all:
 # - on I, i = 6 and 10 (one axis at real part +-0.6: on it, 1e-10 and 1e-8
 #   off it) are true matches, every orbit distance under 1e-15, that the
 #   sorted-column rejection of coset._match turns down;
@@ -109,7 +113,7 @@ def test_associativity_on_the_singular_set(label, base):
 @pytest.mark.xfail(
     strict=True,
     reason="coset._match rejects on sorted x, y, z columns, which are no "
-    "orbit invariant (ROADMAP open item 2)",
+    "orbit invariant (ROADMAP open item 3)",
 )
 @pytest.mark.parametrize(
     "label, base, i",
@@ -118,3 +122,14 @@ def test_associativity_on_the_singular_set(label, base):
 def test_associativity_false_alarms_on_the_singular_set(label, base, i):
     _, points = space_and_points(label, base)
     associative_at(points, i)
+
+
+@pytest.mark.parametrize("label, base", SPACES)
+def test_witnessed_associativity_on_the_singular_set(label, base):
+    # every consecutive triple, FALSE_ALARMS and FULL_FALLBACK included;
+    # the pairing is exact up to rounding, so far inside TOL_AXIOM
+    space, points = space_and_points(label, base)
+    reps = np.array([p.rep for p in points])
+    x, y, z = (np.roll(reps, -shift, axis=0) for shift in range(3))
+    deviations = _witnessed_associativity(space, x, y, z)
+    assert deviations.max() <= 1e-12, np.flatnonzero(~(deviations <= 1e-12))
