@@ -18,10 +18,10 @@ import numpy as np
 from .coset import (
     CosetSpace,
     _canonical,
-    _distances,
     _distances_to_identity,
     _match,
     _orbits,
+    _pair_distances,
     _product,
     _product_left,
     _product_right,
@@ -126,7 +126,7 @@ def _run_trials(
 
 def _sample(space: CosetSpace, rng: np.random.Generator, count: int) -> np.ndarray:
     """Canonical representatives of `count` successive random points."""
-    return _canonical(space, _random_points(space, rng, count))
+    return _canonical(space, _random_points(rng, count))
 
 
 def check_identity(
@@ -240,18 +240,12 @@ def _witnessed_well_defined(
     whose group has its tables, where row t of the (m, 2) array `moves`
     holds the indices of a and b.  The j-th moved value a(p) g_j(b(q)) is
     a(p g_i(q)) with g_i = a^-1 g_j b, an image of the i-th value, so the
-    two are paired.  As in `_match`, a pair is compared by the plain
-    distance, and by the orbit distance when that is over `tol`; the
+    two are paired, and compared by `_pair_distances` as in `_match`; the
     deviation is inf unless the pairing is a bijection."""
     mul, inv = space.group._table
     m = len(want)
     index = mul[mul[inv[moves[:, :1]], np.arange(space.n)], moves[:, 1:]]
-    paired = want[np.arange(m)[:, None], index]
-    diffs = paired - got
-    dist = np.sqrt(np.einsum("tjc,tjc->tj", diffs, diffs))
-    far = dist > tol
-    if far.any():
-        dist[far] = _distances(space, paired[far], got[far])
+    dist = _pair_distances(space, want[np.arange(m)[:, None], index], got, tol)
     return np.where(_permutations(index), dist.max(axis=1), np.inf)
 
 

@@ -46,7 +46,7 @@ from .quaternion import (
     rounded_key,
 )
 from .rotgroups import RotationGroup
-from .tolerances import EPS_POINT, SEPARATION_FACTOR
+from .tolerances import EPS_POINT
 
 
 class Base(Enum):
@@ -61,9 +61,6 @@ class Base(Enum):
 # A sweep over many rows runs in blocks of rows that have at most this many
 # images under the acting maps, so that its temporaries stay in cache.
 SWEEP_BLOCK = 1 << 16
-
-# Rejections in a row after which random sampling gives up on a space.
-MAX_TRIES = 64
 
 _ONE_ROW = np.array(tuple(ONE))
 
@@ -268,6 +265,21 @@ def _distances(
     )
 
 
+def _pair_distances(
+    space: CosetSpace, a: np.ndarray, b: np.ndarray, tol: float
+) -> np.ndarray:
+    """Distance between each row of `a` and the same row of `b`, two
+    (..., 4) arrays of one shape, as close as deciding a match within `tol`
+    needs: the plain distance bounds the orbit distance from above, so only
+    the rows it leaves over `tol` get the orbit distance."""
+    diffs = a - b
+    dist = np.sqrt(np.einsum("...c,...c->...", diffs, diffs))
+    far = dist > tol
+    if far.any():
+        dist[far] = _distances(space, a[far], b[far])
+    return dist
+
+
 def _distances_to_identity(space: CosetSpace, values: np.ndarray) -> np.ndarray:
     """Orbit distance from the identity class to the orbit of each row of
     `values`, without a sweep: every conjugation fixes 1 and -1, so it is
@@ -293,9 +305,10 @@ def _product(space: CosetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def project(space: CosetSpace, w: Quaternion) -> Orbit:
     """The orbit of a unit quaternion: the projection map onto the quotient.
-    Raises ValueError for a non-finite quaternion."""
-    if not all(map(math.isfinite, w)):
-        raise ValueError(f"cannot project a non-finite quaternion {w}")
+    Raises ValueError for a quaternion whose norm is non-finite: one with a
+    NaN or infinite coordinate, or one so large that its norm overflows."""
+    if not math.isfinite(w.norm()):
+        raise ValueError(f"cannot project a quaternion of non-finite norm {w}")
     (x,) = _orbits(space, _canonical(space, np.array([w.normalized()])))
     return x
 
@@ -408,14 +421,9 @@ def _match(
         # A NaN representative is rejected here too.
         return False, gap
 
-    sa, sb = ra[_rounded_order(ra)], rb[_rounded_order(rb)]
-    diffs = sa - sb
-    pair = np.sqrt((diffs * diffs).sum(axis=1))
-    # The plain distance bounds the orbit distance from above, so only the
-    # pairs it leaves over tol need the sweep.
-    far = np.flatnonzero(pair > tol)
-    if len(far):
-        pair[far] = _distances(space, sa[far], sb[far])
+    pair = _pair_distances(
+        space, ra[_rounded_order(ra)], rb[_rounded_order(rb)], tol
+    )
     if not (pair > tol).any():
         return True, float(pair.max())
 
@@ -451,42 +459,13 @@ def grouped_orbits(orbits: list[Orbit]) -> list[tuple[Orbit, int]]:
 
 
 def random_point(space: CosetSpace, rng: np.random.Generator) -> Orbit:
-    """A random orbit whose sweep images are pairwise well separated, so
-    canonicalization and matching are stable.  Rejection-samples until the
-    minimum pairwise distance exceeds SEPARATION_FACTOR * EPS_POINT, and
-    raises RuntimeError after MAX_TRIES rejections in a row."""
-    points = _random_points(space, rng, 1)
-    (x,) = _orbits(space, _canonical(space, points))
+    """The orbit of a uniform random point of the base."""
+    (x,) = _orbits(space, _canonical(space, _random_points(rng, 1)))
     return x
 
 
-def _random_points(
-    space: CosetSpace, rng: np.random.Generator, count: int
-) -> np.ndarray:
+def _random_points(rng: np.random.Generator, count: int) -> np.ndarray:
     """The unit quaternions that `count` successive random_point calls
-    canonicalize, as a (count, 4) array, drawn from the same candidate
-    stream: candidates come from random_units, a rejected one is skipped,
-    and MAX_TRIES rejections in a row raise RuntimeError.  Each round
-    draws one candidate per missing point, so no candidate past the last
-    accepted one is drawn."""
-    floor = SEPARATION_FACTOR * EPS_POINT
-    accepted = []
-    missing, run = count, 0
-    while missing:
-        q = random_units(rng, missing)
-        # The sweep maps form a group of isometries, so a point's images are
-        # pairwise separated exactly when it is far from its image under
-        # every map other than the identity.
-        others = np.delete(space.canon_images(q), space.group.identity_index, axis=1)
-        keep = _nearest(q, others) > floor
-        for ok in keep.tolist():
-            run = 0 if ok else run + 1
-            if run == MAX_TRIES:
-                raise RuntimeError(
-                    f"could not sample a well-separated point of {space.label} "
-                    f"in {MAX_TRIES} tries"
-                )
-        accepted.append(q[keep])
-        missing -= int(keep.sum())
-    # project normalizes its argument again; so does this, bit for bit.
-    return normalized_rows(np.concatenate(accepted))
+    canonicalize, as a (count, 4) array.  project normalizes its argument
+    again; so does this, bit for bit."""
+    return normalized_rows(random_units(rng, count))

@@ -14,8 +14,3 @@ TOL_AXIOM = 1e-6
 
 # Real-part preservation budget for conjugation.
 TOL_RE = 1e-12
-
-# Random sample points are rejected unless their group images are pairwise
-# at least SEPARATION_FACTOR * EPS_POINT apart (keeps property trials off
-# the singular set, which is tested separately with exact points).
-SEPARATION_FACTOR = 100.0

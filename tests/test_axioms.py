@@ -131,11 +131,31 @@ def reference_run_all(space, samples, triples, seed, tol=TOL_AXIOM):
 REFERENCE_GROUPS = ["C3", "D2", "T", "O", "I"]
 
 
+def witnessed_reference_associativity(space, triples, seed, tol=TOL_AXIOM):
+    """The associativity report of reference_run_all on a closed group, with
+    each trial's deviation from the witnessed kernel, one trial at a time."""
+
+    def trial(rng):
+        x, y, z = (np.array([random_point(space, rng).rep]) for _ in range(3))
+        return _witnessed_associativity(space, x, y, z)[0]
+
+    return _run_trials(
+        space, "associativity", triples, seed + 2, tol, 1,
+        lambda rng, size: [trial(rng) for _ in range(size)],
+    )
+
+
 def assert_matches_reference(space, samples=12, triples=3, seed=0):
+    # Trials and failures are compared with the public functions.  On a
+    # closed group, associativity measures the raw values that the
+    # witnesses pair, and match_multisets the sorted canonical ones, so the
+    # deviation there is compared with the witnessed kernel instead.
     got = run_all(space, samples=samples, triples=triples, seed=seed)
     want = reference_run_all(space, samples, triples, seed)
     for g, w in zip(got, want):
         assert (g.axiom, g.trials, g.failures) == (w.axiom, w.trials, w.failures)
+        if g.axiom == "associativity" and space.group._table is not None:
+            w = witnessed_reference_associativity(space, triples, seed)
         assert abs(g.max_deviation - w.max_deviation) <= 1e-15, (g, w)
 
 

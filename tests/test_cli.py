@@ -88,6 +88,12 @@ def test_mul_rejects_far_from_unit(capsys):
     assert "norm" in err
 
 
+def test_mul_rejects_a_point_whose_norm_overflows(capsys):
+    code, _, err = run_cli(["mul", "T", "1e200,1e200,0,0", "0,1,0,0"], capsys)
+    assert code == 2
+    assert "norm inf" in err
+
+
 def test_mul_normalizes_near_unit_with_note(capsys):
     code, out, err = run_cli(["mul", "C2", "1.0000001,0,0,0", "0,1,0,0"], capsys)
     assert code == 0

@@ -5,7 +5,6 @@ half-turn about z: conjugation by k fixes +-1 and +-k and negates the i and
 j directions, so orbits and products can be written out by hand and frozen.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -34,7 +33,7 @@ from nvalued.quaternion import (
     ONE, QI, QJ, QK, Quaternion, conj_action, normalized_rows, qdist, random_units,
 )
 from nvalued.rotgroups import GroupSpec, build_group, catalog
-from nvalued.tolerances import EPS_POINT, SEPARATION_FACTOR, TOL_AXIOM
+from nvalued.tolerances import EPS_POINT, TOL_AXIOM
 
 from .conftest import (
     equator_quaternions, make_space, triple_products, unit_quaternions,
@@ -209,10 +208,16 @@ class TestProject:
         q = Quaternion(0.5, 0.1, -0.3, 0.2).normalized()
         assert orbit_distance(project(s, q), project(s, -q)) < 1e-12
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "bad",
+        [(np.nan, 0.0), (np.inf, 0.0), (1e200, 1e200)],
+        ids=["nan", "inf", "overflow"],
+    )
     def test_rejects_non_finite_points(self, bad):
+        # a finite point whose norm overflows would normalize to the zero
+        # quaternion, and so to a NaN orbit
         with pytest.raises(ValueError, match="non-finite"):
-            project(make_space("C2", "sp1"), Quaternion(bad, 0.0, 0.0, 0.0))
+            project(make_space("C2", "sp1"), Quaternion(*bad, 0.0, 0.0))
 
     def test_idempotent(self, rng):
         for label, base in SMALL_SPACES:
@@ -548,68 +553,15 @@ def test_identity_distance_matches_the_orbit_sweep(base, rng):
     assert np.abs(closed - coset._distances(s, e, values)).max() <= 1e-15
 
 
-def test_random_point_respects_separation_floor(rng):
-    s = make_space("I", "sp1")
-    floor = SEPARATION_FACTOR * EPS_POINT
-    for _ in range(10):
-        x = random_point(s, rng)
-        images = s.canon_images(np.array([tuple(x.rep)]))[0]
-        d = np.sqrt(((images[:, None, :] - images[None, :, :]) ** 2).sum(axis=2))
-        np.fill_diagonal(d, np.inf)
-        assert float(d.min()) > floor
-
-
-class StubRng:
-    """Yields the given gaussians in order from standard_normal; counts how
-    many were drawn."""
-
-    def __init__(self, values):
-        self.values = iter(values)
-        self.drawn = 0
-
-    def standard_normal(self, size):
-        count = math.prod(size)
-        self.drawn += count
-        return np.array([next(self.values) for _ in range(count)]).reshape(size)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("count", [1, 5, 40])
 def test_batched_draw_matches_successive_random_points(seed, count):
     s = make_space("T", "so3")
     batch_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    batch = coset._random_points(s, batch_rng, count)
+    batch = coset._random_points(batch_rng, count)
     singles = [random_point(s, single_rng).rep for _ in range(count)]
     assert np.array_equal([_canonical(s, row[None])[0] for row in batch], singles)
     assert batch_rng.bit_generator.state == single_rng.bit_generator.state
-
-
-def test_batched_draw_skips_a_fixed_point_in_order():
-    # conjugation by every element fixes 1, so it is rejected
-    s = make_space("C3", "sp1")
-    first, second = (0.3, 0.5, -0.2, 0.7), (-0.6, 0.1, 0.4, 0.2)
-    stub = StubRng([*first, 1.0, 0.0, 0.0, 0.0, *second])
-    got = coset._random_points(s, stub, 2)
-    want = [Quaternion(*q).normalized().normalized() for q in (first, second)]
-    assert np.array_equal(got, want)
-    assert stub.drawn == 12
-
-
-def test_batched_draw_counts_rejections_per_point():
-    s = make_space("C3", "sp1")
-    fixed, good = [1.0, 0.0, 0.0, 0.0], [0.3, 0.5, -0.2, 0.7]
-    stub = StubRng((63 * fixed + good) * 2)
-    assert len(coset._random_points(s, stub, 2)) == 2
-
-
-@pytest.mark.parametrize("count", [1, 3])
-def test_batched_draw_gives_up_after_64_rejections_in_a_row(count):
-    s = make_space("C3", "sp1")
-    stub = StubRng(itertools.cycle([1.0, 0.0, 0.0, 0.0]))
-    with pytest.raises(RuntimeError, match="in 64 tries"):
-        coset._random_points(s, stub, count)
-    if count == 1:
-        assert stub.drawn == 4 * 64
 
 
 def test_group_orbit_size_divides_double_order(rng):

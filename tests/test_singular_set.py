@@ -1,4 +1,5 @@
-"""The axioms on the singular set, where `random_point` never samples.
+"""The axioms on the singular set, which uniform random trials reach with
+probability 0.
 
 Identity, inverse and associativity through the public functions at
 `TOL_AXIOM`, on points whose stabilizer is not trivial or nearly so: exact
@@ -7,6 +8,7 @@ axis points with real part 0 and +-0.6, the poles +-1, and points 1e-10 to
 canonicalization or a matching could go wrong.  Associativity is checked
 twice: by the generic matching of `match_multisets`, and by the pairing
 through canonicalization witnesses that the associativity check runs.
+Well-definedness is checked by that pairing, as its check runs it.
 """
 
 import math
@@ -14,8 +16,9 @@ import math
 import numpy as np
 import pytest
 
-from nvalued.axioms import _witnessed_associativity
+from nvalued.axioms import _witnessed_associativity, _witnessed_well_defined
 from nvalued.coset import (
+    _product,
     identity_orbit,
     match_multisets,
     orbit_distance,
@@ -133,3 +136,25 @@ def test_witnessed_associativity_on_the_singular_set(label, base):
     x, y, z = (np.roll(reps, -shift, axis=0) for shift in range(3))
     deviations = _witnessed_associativity(space, x, y, z)
     assert deviations.max() <= 1e-12, np.flatnonzero(~(deviations <= 1e-12))
+
+
+@pytest.mark.parametrize("label, base", SPACES)
+def test_witnessed_well_definedness_on_the_singular_set(label, base):
+    # every consecutive pair (p, q), moved to (a(p), b(q)) by maps that
+    # canon_images sweeps, lift signs included, drawn from a seeded stream;
+    # near-coincident images can swap across the EPS_POINT slack, so the
+    # budget is acceptance criterion 3's matched-pair bound, not rounding
+    space, points = space_and_points(label, base)
+    n = space.n
+    p = np.array([o.rep for o in points])
+    q = np.roll(p, -1, axis=0)
+    want = _product(space, p, q).reshape(len(p), n, 4)
+    images = space.canon_images(p), space.canon_images(q)
+    rows = np.arange(len(p))
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        chosen = rng.integers(images[0].shape[1], size=(len(p), 2))
+        moved = [im[rows, c] for im, c in zip(images, chosen.T)]
+        got = _product(space, *moved).reshape(len(p), n, 4)
+        deviations = _witnessed_well_defined(space, want, got, chosen % n, TOL_AXIOM)
+        assert deviations.max() <= 1e-8, np.flatnonzero(~(deviations <= 1e-8))
