@@ -194,29 +194,26 @@ def _canonical_block(
     # lift sign: the positive one wins by more than EPS_POINT unless
     # |w| <= EPS_POINT / 2, and only those rows compare both signs.
     q = normalized_rows(points)
+    m = len(q)
     if space.base is Base.SO3:
-        flip = q[:, :1] < 0.0
-        q = np.where(flip, -q, q)
-        negated = flip[:, 0]
+        negated = q[:, 0] < 0.0
+        np.negative(q, out=q, where=negated[:, None])
         both = np.flatnonzero(q[:, 0] <= EPS_POINT / 2)
     else:
-        negated = np.zeros(len(q), dtype=bool)
-        both = np.empty(0, dtype=int)
-    m = len(q)
+        negated = np.zeros(m, dtype=bool)
+        both = ()
     images = (q[:, 1:] @ space._rot_cols).reshape(m, 3, -1)
     elements = _lexmax(images)
-    reps = np.empty_like(q)
-    reps[:, 0] = q[:, 0]
-    reps[:, 1:] = images[np.arange(m), :, elements]
+    q[:, 1:] = images[np.arange(m), :, elements]
     if len(both):
         w = np.broadcast_to(q[both, :1, None], (len(both), 1, images.shape[2]))
         signed = np.concatenate([w, images[both]], axis=1)
         signed = np.concatenate([signed, -signed], axis=2)
         pick = _lexmax(signed)
-        reps[both] = signed[np.arange(len(both)), :, pick]
+        q[both] = signed[np.arange(len(both)), :, pick]
         elements[both] = pick % space.n
         negated[both] ^= pick >= space.n
-    return reps, elements, negated
+    return q, elements, negated
 
 
 def _lexmax(images: np.ndarray) -> np.ndarray:
@@ -226,16 +223,18 @@ def _lexmax(images: np.ndarray) -> np.ndarray:
     survive the slack filter (the last one, if several are exactly
     equal)."""
     m, c, k = images.shape
-    alive = np.ones((m, k), dtype=bool)
-    for coord in range(c):
-        col = np.where(alive, images[:, coord], -np.inf)
-        alive &= col >= col.max(axis=1, keepdims=True) - EPS_POINT
-        if alive.sum() == m:
+    # Every image is alive at the first coordinate, which needs no mask.
+    col = images[:, 0]
+    alive = col >= col.max(axis=1, keepdims=True) - EPS_POINT
+    for coord in range(1, c):
+        if np.count_nonzero(alive) == m:
             # One image survives in every row, and later coordinates keep it.
             return alive.argmax(axis=1)
+        col = np.where(alive, images[:, coord], -np.inf)
+        alive &= col >= col.max(axis=1, keepdims=True) - EPS_POINT
 
     pick = alive.argmax(axis=1)
-    multi = np.flatnonzero(alive.sum(axis=1) > 1)
+    multi = np.flatnonzero(np.count_nonzero(alive, axis=1) > 1)
     images_m, best = images[multi], alive[multi]
     for coord in range(c):
         col = np.where(best, images_m[:, coord], -np.inf)

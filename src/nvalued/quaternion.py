@@ -74,8 +74,8 @@ class Quaternion(NamedTuple):
 
     def normalized(self) -> "Quaternion":
         n = self.norm()
-        if n < 1e-8:
-            raise ValueError("cannot normalize a near-zero quaternion")
+        if not 1e-8 <= n < math.inf:
+            raise ValueError(f"cannot normalize a quaternion of norm {n}")
         return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
 
     def inverse(self) -> "Quaternion":
@@ -179,11 +179,12 @@ def random_units(rng: np.random.Generator, m: int) -> np.ndarray:
 
 
 def normalized_rows(q: np.ndarray) -> np.ndarray:
-    """Each row of an (m, 4) array divided by its norm, with the float
-    operations of Quaternion.normalized: a row comes out bit for bit as
-    Quaternion(*row).normalized()."""
-    w, x, y, z = q.T
-    return q / np.sqrt(w * w + x * x + y * y + z * z)[:, None]
+    """Each row of an (m, 4) array divided by its norm, as a new array: a
+    row comes out bit for bit as Quaternion(*row).normalized().  It checks
+    nothing, being on the hot path: rows must be finite with a norm that
+    neither overflows nor nears 0, as `project` and `random_units` ensure."""
+    w, x, y, z = (q * q).T
+    return q / np.sqrt(w + x + y + z)[:, None]
 
 
 # left_matrix(q)[r, c] == _LEFT_SIGN[r, c] * q[_INDEX[r, c]], and the

@@ -253,6 +253,124 @@ class TestProject:
             assert qdist(moved.rep, want) <= TOL_AXIOM
 
 
+def reference_lexmax(images):
+    """`coset._lexmax` one row at a time in pure Python: coordinate by
+    coordinate, keep the images within EPS_POINT of the largest survivor;
+    then, among the survivors, take the exact lexicographic maximum, the
+    last one if several are equal."""
+    picks = []
+    for row in images.tolist():
+        alive = range(len(row[0]))
+        for col in row:
+            top = max(col[i] for i in alive)
+            alive = [i for i in alive if col[i] >= top - EPS_POINT]
+        keys = {i: [col[i] for col in row] for i in alive}
+        best = max(keys.values())
+        picks.append(max(i for i in alive if keys[i] == best))
+    return np.array(picks)
+
+
+E = EPS_POINT
+LOSER = (-0.9, -0.9, -0.9)
+# Four (x, y, z) images per row, and the index the slack rule picks.  Each
+# row is decided at a known coordinate, or reaches the exact tie-break.
+LEXMAX_ROWS = {
+    "x": ([(0.1, 0.9, 0.0), (0.9, -0.5, 0.0), (0.5, 0.5, 0.5),
+           (0.9 - 2 * E, 0.9, 0.9)], 1),
+    # image 2 has the least x of the survivors, but wins on y
+    "y": ([(0.5, 0.1, 0.9), (0.5 + 0.5 * E, 0.0, 0.9), (0.5 - 0.4 * E, 0.3, -0.2),
+           (0.2, 0.9, 0.9)], 2),
+    # the slack is taken from the largest survivor: image 0 lies within
+    # EPS_POINT of image 1, but not of image 2
+    "y-chain": ([(0.5, 0.9, 0.9), (0.5 + 0.8 * E, 0.1, 0.0),
+                 (0.5 + 1.6 * E, 0.0, 0.9), LOSER], 1),
+    "z": ([(0.3, 0.4, 0.1), (0.3 + 0.3 * E, 0.4 - 0.3 * E, -0.5),
+           (0.3, 0.4 + 0.2 * E, 0.2), (-0.3, 0.9, 0.9)], 2),
+    "exact-x": ([(0.5, 0.6, 0.1), (0.5 + 1e-12, 0.6, 0.1), (0.5, 0.6, 0.1),
+                 (0.2, 0.6, 0.1)], 1),
+    "exact-z": ([(0.5, 0.6, 0.1), (0.5, 0.6, 0.1 + 2e-12), (0.5, 0.6, 0.1 + 1e-12),
+                 LOSER], 1),
+    "exact-last-of-equal": ([(0.5, 0.6, 0.1)] * 3 + [(0.4, 0.9, 0.9)], 2),
+    "exact-last-of-two-maxima": ([(0.5, 0.6, 0.1 + 1e-12), (0.5, 0.6, 0.1),
+                                  (0.5, 0.6, 0.1 + 1e-12), (0.5, 0.6, 0.1)], 2),
+}
+
+
+def lexmax_stack(names):
+    """The (m, 3, 4) stack of the named LEXMAX_ROWS and their picks."""
+    rows = [LEXMAX_ROWS[name] for name in names]
+    images = np.array([np.array(row).T for row, _ in rows])
+    return images, np.array([pick for _, pick in rows])
+
+
+class TestLexmax:
+    """`_lexmax` picks exactly what the per-row slack rule picks, wherever
+    a row is decided; `test_batch_matches_per_point_reference` compares
+    representatives only to 1e-15, which cannot see a changed pick."""
+
+    @pytest.mark.parametrize("name", list(LEXMAX_ROWS))
+    def test_hand_built_row(self, name):
+        images, want = lexmax_stack([name])
+        assert np.array_equal(reference_lexmax(images), want)
+        assert np.array_equal(coset._lexmax(images), want)
+
+    def test_rows_decided_at_different_coordinates_share_one_call(self):
+        names = list(LEXMAX_ROWS)
+        order = np.random.default_rng(3).permutation(3 * len(names)) % len(names)
+        images, want = lexmax_stack([names[i] for i in order])
+        assert np.array_equal(coset._lexmax(images), want)
+        # a batch of rows all decided at x, at y or at z
+        for decided in (["x"] * 3, ["y", "y-chain"], ["z", "z"]):
+            images, want = lexmax_stack(decided)
+            assert np.array_equal(coset._lexmax(images), want)
+
+    @pytest.mark.parametrize("c", [3, 4])
+    def test_near_ties_on_a_grid(self, c):
+        # values a few tenths of EPS_POINT apart, so that rows are decided
+        # at every coordinate and many reach the exact tie-break
+        steps = np.random.default_rng(c).integers(-3, 4, size=(400, c, 6))
+        images = 0.3 + steps * (0.4 * E)
+        assert np.array_equal(coset._lexmax(images), reference_lexmax(images))
+
+    @pytest.mark.parametrize("label", ["C2", "D3", "T", "O", "I"])
+    def test_equator_rows_and_their_witnesses(self, label, rng):
+        # On so3 the rows with |w| <= EPS_POINT / 2 compare both lift
+        # signs: a (4, 2n) stack of the signed images.
+        s = make_space(label, "so3")
+        # generic directions, and the rotation axes, where images tie
+        vectors = np.concatenate([random_units(rng, 8), s.group.element_rows])[:, 1:]
+        vectors = vectors[np.linalg.norm(vectors, axis=1) > 0.5e-8]
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        points = np.concatenate([
+            np.column_stack([np.full(len(vectors), w), math.sqrt(1 - w * w) * vectors])
+            for w in [*EQUATOR_REAL_PARTS, -0.0]
+        ])
+        got = coset._canonical_block(s, points)
+
+        q = normalized_rows(points)
+        fold = q[:, 0] < 0.0
+        q[fold] = -q[fold]
+        images = (q[:, 1:] @ s._rot_cols).reshape(len(q), 3, s.n)
+        want = (np.empty_like(q), np.empty(len(q), dtype=int), fold.copy())
+        for t in range(len(q)):
+            stack = images[t]
+            if q[t, 0] <= E / 2:
+                stack = np.concatenate([np.full((1, s.n), q[t, 0]), stack])
+                stack = np.concatenate([stack, -stack], axis=1)
+            (pick,) = reference_lexmax(stack[None])
+            want[0][t, 0] = q[t, 0]
+            want[0][t, -len(stack):] = stack[:, pick]
+            want[1][t] = pick % s.n
+            want[2][t] ^= pick >= s.n
+        assert (np.abs(q[:, 0]) <= E / 2).sum() >= 4 * len(vectors)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        # the witness: rep = s g(q) for g the element, s the lift sign
+        signs = np.where(got[2], -1.0, 1.0)[:, None]
+        moved = s.act_images(normalized_rows(points))[np.arange(len(q)), got[1]]
+        assert np.abs(signs * moved - got[0]).max() <= 1e-15
+
+
 def test_rep_jump_at_the_slack_boundary_is_absorbed_by_matching():
     # On C2@sp1 the images of (0.6, x, -0.8, 0) are (0.6, +-x, -+0.8, 0).
     # Across 2x = EPS_POINT the slack filter stops separating them on the

@@ -23,6 +23,7 @@ from nvalued.quaternion import (
     conj_action,
     conj_matrix,
     left_matrix,
+    normalized_rows,
     qdist,
     qmul,
     random_units,
@@ -271,3 +272,42 @@ def test_conj_matrix_reproduces_conj_action(q, x):
 def test_vec3_normalized_rejects_zero():
     with pytest.raises(ValueError):
         Vec3(0.0, 0.0, 0.0).normalized()
+
+
+@pytest.mark.parametrize(
+    "components",
+    [(1e200, 1e200, 0.0, 0.0), (0.0, -1e300, 1e300, 0.0), (math.inf, 0.0, 0.0, 0.0),
+     (math.nan, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (1e-9, 0.0, 0.0, 0.0)],
+    ids=["overflow", "overflow-negative", "inf", "nan", "zero", "near-zero"],
+)
+def test_quaternion_normalized_rejects_a_norm_out_of_range(components):
+    # an overflowing norm used to divide every component to 0
+    with pytest.raises(ValueError, match="cannot normalize"):
+        Quaternion(*components).normalized()
+
+
+def scalar_normalized(row) -> list[float]:
+    """The float operations of Quaternion.normalized, without its range
+    check, which refuses rows of norm under 1e-8."""
+    q = Quaternion(*row)
+    n = q.norm()
+    return [c / n for c in q]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_normalized_rows_equal_quaternion_normalized_bit_for_bit(scale):
+    rows = np.random.default_rng(5).standard_normal((300, 4))
+    # negative components, signed zeros, and rows with one nonzero entry
+    rows[:4] = [[-0.0, 1.0, -0.0, 0.0], [0.0, -0.0, -2.0, -0.0],
+                [-3.0, 0.0, 0.0, -0.0], [-0.5, -0.5, -0.5, -0.5]]
+    rows[4:8] = -np.eye(4)
+    rows *= scale
+    got = normalized_rows(rows)
+    if scale >= 1.0:
+        want = np.array([Quaternion(*row).normalized() for row in rows.tolist()])
+    else:
+        want = np.array([scalar_normalized(row) for row in rows.tolist()])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(np.signbit(got), np.signbit(rows))
+    assert got is not rows
