@@ -25,19 +25,13 @@ from .coset import (
     _product,
     _product_left,
     _product_right,
-    _random_points,
     _raw_product,
+    _sample,
     _witnessed,
     identity_orbit,
     orbit_distance,
 )
-from .quaternion import (
-    _CONJ_SIGN,
-    Quaternion,
-    canonical_sign,
-    normalized_rows,
-    qmul,
-)
+from .quaternion import _CONJ_SIGN, Quaternion, canonical_sign, qmul
 from .rotgroups import RotationGroup
 from .tolerances import TOL_AXIOM
 
@@ -124,11 +118,6 @@ def _run_trials(
     )
 
 
-def _sample(space: CosetSpace, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Canonical representatives of `count` successive random points."""
-    return _canonical(space, _random_points(rng, count))
-
-
 def check_identity(
     space: CosetSpace, samples: int = 200, seed: int = 0, tol: float = TOL_AXIOM
 ) -> AxiomReport:
@@ -164,8 +153,8 @@ def check_inverse(
 
     def block(rng: np.random.Generator, count: int) -> np.ndarray:
         x = _sample(space, rng, count)
-        # orbit_inverse: the orbit of the conjugate, normalized as project does
-        ix = _canonical(space, normalized_rows(x * _CONJ_SIGN))
+        # orbit_inverse: the orbit of the conjugate
+        ix = _canonical(space, x * _CONJ_SIGN)
         values = np.concatenate([_product(space, x, ix), _product(space, ix, x)])
         dist = _distances_to_identity(space, values).reshape(2, count, n)
         return dist.min(axis=2).max(axis=0).tolist()

@@ -217,7 +217,7 @@ def _load_point(raw: Quaternion, name: str) -> Quaternion:
         raise SystemExit(2)
     if abs(norm - 1.0) > 1e-12:
         print(f"note: normalizing {name} (norm {norm:.9f})", file=sys.stderr)
-    return raw.normalized()
+    return raw
 
 
 def cmd_mul(args: argparse.Namespace) -> int:

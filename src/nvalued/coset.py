@@ -303,12 +303,15 @@ def _product(space: CosetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def project(space: CosetSpace, w: Quaternion) -> Orbit:
-    """The orbit of a unit quaternion: the projection map onto the quotient.
-    Raises ValueError for a quaternion whose norm is non-finite: one with a
-    NaN or infinite coordinate, or one so large that its norm overflows."""
-    if not math.isfinite(w.norm()):
-        raise ValueError(f"cannot project a quaternion of non-finite norm {w}")
-    (x,) = _orbits(space, _canonical(space, np.array([w.normalized()])))
+    """The orbit of a quaternion, normalized: the projection map onto the
+    quotient.  Raises ValueError for a norm under 1e-8 or non-finite: a
+    NaN or infinite coordinate, or a norm that overflows."""
+    norm = w.norm()
+    if not 1e-8 <= norm < math.inf:
+        raise ValueError(
+            f"cannot project {w}: its norm {norm} is near 0 or non-finite"
+        )
+    (x,) = _orbits(space, _canonical(space, np.array([w], dtype=float)))
     return x
 
 
@@ -459,12 +462,12 @@ def grouped_orbits(orbits: list[Orbit]) -> list[tuple[Orbit, int]]:
 
 def random_point(space: CosetSpace, rng: np.random.Generator) -> Orbit:
     """The orbit of a uniform random point of the base."""
-    (x,) = _orbits(space, _canonical(space, _random_points(rng, 1)))
+    (x,) = _orbits(space, _sample(space, rng, 1))
     return x
 
 
-def _random_points(rng: np.random.Generator, count: int) -> np.ndarray:
-    """The unit quaternions that `count` successive random_point calls
-    canonicalize, as a (count, 4) array.  project normalizes its argument
-    again; so does this, bit for bit."""
-    return normalized_rows(random_units(rng, count))
+def _sample(space: CosetSpace, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Canonical representatives of `count` successive uniform random
+    points, as a (count, 4) array: the points that `count` random_point
+    calls draw."""
+    return _canonical(space, random_units(rng, count))

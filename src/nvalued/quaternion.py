@@ -45,9 +45,6 @@ class Vec3(NamedTuple):
     def __neg__(self) -> "Vec3":
         return Vec3(-self.x, -self.y, -self.z)
 
-    def as_quaternion(self) -> "Quaternion":
-        return Quaternion(0.0, self.x, self.y, self.z)
-
 
 class Quaternion(NamedTuple):
     w: float
@@ -55,33 +52,19 @@ class Quaternion(NamedTuple):
     y: float
     z: float
 
-    @property
-    def real(self) -> float:
-        return self.w
-
-    @property
-    def imag(self) -> Vec3:
-        return Vec3(self.x, self.y, self.z)
-
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
-    def norm_squared(self) -> float:
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
-
     def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
+        return math.sqrt(
+            self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+        )
 
     def normalized(self) -> "Quaternion":
         n = self.norm()
         if not 1e-8 <= n < math.inf:
             raise ValueError(f"cannot normalize a quaternion of norm {n}")
         return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
-
-    def inverse(self) -> "Quaternion":
-        """Multiplicative inverse; equals the conjugate for unit quaternions."""
-        n2 = self.norm_squared()
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
     def __mul__(self, other):  # Hamilton product
         if isinstance(other, Quaternion):
@@ -182,7 +165,10 @@ def normalized_rows(q: np.ndarray) -> np.ndarray:
     """Each row of an (m, 4) array divided by its norm, as a new array: a
     row comes out bit for bit as Quaternion(*row).normalized().  It checks
     nothing, being on the hot path: rows must be finite with a norm that
-    neither overflows nor nears 0, as `project` and `random_units` ensure."""
+    neither overflows nor nears 0.  `project` checks the quaternion it is
+    given; every other row is a normal draw in `random_units` or, in the
+    canonicalization kernel, a uniform draw, a conjugate or a product of
+    unit quaternions."""
     w, x, y, z = (q * q).T
     return q / np.sqrt(w + x + y + z)[:, None]
 

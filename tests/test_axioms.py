@@ -243,6 +243,38 @@ def test_corruption_is_detected(label):
     assert assoc.max_deviation > 1e-2
 
 
+# Failures over every corrupted catalog space, at 0.1 and 1e-5 rad on both
+# bases, of 2 associativity and 10 well-definedness trials each: 720 per
+# seed.  C1 has nothing to corrupt, and D1's corrupted copy is still a
+# group.  A change to the sampling or to the matching moves these.
+CONTROL_CATCHES = [710, 656, 710, 692, 682, 684, 673, 654, 643, 678]
+
+
+@pytest.fixture(scope="module")
+def corrupted_spaces():
+    return [
+        CosetSpace(corrupted_copy(build_group(spec), extra_angle=angle), base)
+        for spec in catalog()
+        if spec.label not in ("C1", "D1")
+        for angle in (0.1, 1e-5)
+        for base in Base
+    ]
+
+
+@pytest.mark.parametrize("seed", range(len(CONTROL_CATCHES)))
+def test_negative_control_catches_are_pinned(corrupted_spaces, seed):
+    reports = [
+        report
+        for space in corrupted_spaces
+        for report in (
+            check_associativity(space, triples=2, seed=seed),
+            check_well_defined(space, samples=10, seed=seed),
+        )
+    ]
+    assert sum(r.trials for r in reports) == 720
+    assert sum(r.failures for r in reports) == CONTROL_CATCHES[seed]
+
+
 def test_corrupted_copy_differs_in_one_element():
     g = build_group(GroupSpec.parse("D3"))
     bad = corrupted_copy(g)

@@ -210,13 +210,13 @@ class TestProject:
 
     @pytest.mark.parametrize(
         "bad",
-        [(np.nan, 0.0), (np.inf, 0.0), (1e200, 1e200)],
-        ids=["nan", "inf", "overflow"],
+        [(np.nan, 0.0), (np.inf, 0.0), (1e200, 1e200), (0.0, 0.0), (1e-9, 0.0)],
+        ids=["nan", "inf", "overflow", "zero", "near-zero"],
     )
     def test_rejects_non_finite_points(self, bad):
         # a finite point whose norm overflows would normalize to the zero
-        # quaternion, and so to a NaN orbit
-        with pytest.raises(ValueError, match="non-finite"):
+        # quaternion, and so to a NaN orbit; one near 0 has no direction
+        with pytest.raises(ValueError, match="near 0 or non-finite"):
             project(make_space("C2", "sp1"), Quaternion(*bad, 0.0, 0.0))
 
     def test_idempotent(self, rng):
@@ -674,12 +674,17 @@ def test_identity_distance_matches_the_orbit_sweep(base, rng):
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("count", [1, 5, 40])
 def test_batched_draw_matches_successive_random_points(seed, count):
+    # each point of one draw, canonicalized as one row, is the point of one
+    # random_point call; the batch canonicalizes the same points (a batch
+    # sweep may differ from a one-row sweep in the last bits)
     s = make_space("T", "so3")
     batch_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    batch = coset._random_points(batch_rng, count)
+    points = random_units(batch_rng, count)
     singles = [random_point(s, single_rng).rep for _ in range(count)]
-    assert np.array_equal([_canonical(s, row[None])[0] for row in batch], singles)
+    assert np.array_equal([_canonical(s, row[None])[0] for row in points], singles)
     assert batch_rng.bit_generator.state == single_rng.bit_generator.state
+    batch = coset._sample(s, np.random.default_rng(seed), count)
+    assert np.abs(batch - singles).max() <= 1e-15
 
 
 def test_group_orbit_size_divides_double_order(rng):

@@ -109,19 +109,6 @@ def test_conjugate_antiautomorphism(a, b):
     assert qdist(lhs, rhs) < 1e-12
 
 
-@given(unit_quaternions())
-def test_inverse_is_conjugate_for_units(q):
-    assert qdist(q.inverse(), q.conjugate()) < 1e-12
-    assert qdist(qmul(q, q.inverse()), ONE) < 1e-12
-
-
-def test_real_imag_decomposition():
-    q = Quaternion(0.5, -1.0, 2.0, 3.0)
-    assert q.real == 0.5
-    assert q.imag == Vec3(-1.0, 2.0, 3.0)
-    assert q.imag.as_quaternion() == Quaternion(0.0, -1.0, 2.0, 3.0)
-
-
 class TestConjAction:
     def test_hamilton_examples(self):
         # conjugation by k is the half-turn about z: fixes +-k, negates i, j
@@ -133,7 +120,7 @@ class TestConjAction:
     def test_preserves_norm_and_re(self, q, x):
         y = conj_action(q, x)
         assert abs(y.norm() - x.norm()) < 1e-12
-        assert abs(y.real - x.real) < 1e-12
+        assert abs(y.w - x.w) < 1e-12
 
     @given(unit_quaternions())
     def test_both_lifts_act_identically(self, q):
@@ -167,7 +154,7 @@ class TestRotationOf:
         if axis is None:
             return
         v = Vec3(*np.random.default_rng(7).uniform(-1, 1, 3))
-        rotated = conj_action(q, v.as_quaternion()).imag
+        rotated = conj_action(q, Quaternion(0.0, *v))[1:]
         expected = rodrigues(axis, angle, v)
         assert max(abs(a - b) for a, b in zip(rotated, expected)) < 1e-9
 
