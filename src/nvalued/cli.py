@@ -12,6 +12,7 @@ classification failure, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -343,9 +344,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves a parser as it was, so one process builds it once.
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.run(args)
 
 

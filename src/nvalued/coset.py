@@ -25,12 +25,16 @@ and acceptance checks consume.
 
 Internally representatives are rows of (m, 4) arrays: canonicalization,
 the product and the orbit distance each run once over a whole batch.
-`Orbit` is the view of one row that the public functions take and return.
+`Orbit` is the view of one row that the public functions take and return;
+a product returns `Orbits`, a read-only sequence over its (n, 4) array of
+representatives that boxes a value as an `Orbit` only when one is asked for.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -140,13 +144,63 @@ def _orbits(space: CosetSpace, reps: np.ndarray) -> list[Orbit]:
     return [Orbit(space, Quaternion(*row)) for row in reps.tolist()]
 
 
-def _check_space(space: CosetSpace, orbits) -> None:
-    """Raise ValueError unless every orbit lies in `space`: the same group
+class Orbits(Sequence):
+    """The values of a product: a read-only sequence of orbits of one
+    space, backed by `reps`, their (n, 4) array of canonical
+    representatives, which is not writeable.  An integer index or
+    iteration boxes one value as an `Orbit` when it is asked for; a slice
+    is a list of them, and `+` with any sequence is a list."""
+
+    __slots__ = ("space", "reps")
+
+    def __init__(self, space: CosetSpace, reps: np.ndarray):
+        reps.flags.writeable = False
+        self.space = space
+        self.reps = reps
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _orbits(self.space, self.reps[index])
+        return Orbit(self.space, Quaternion(*self.reps[operator.index(index)].tolist()))
+
+    def __iter__(self):
+        for row in self.reps.tolist():
+            yield Orbit(self.space, Quaternion(*row))
+
+    def __add__(self, other) -> list[Orbit]:
+        return [*self, *other]
+
+    def __radd__(self, other) -> list[Orbit]:
+        return [*other, *self]
+
+    def __repr__(self) -> str:
+        return f"Orbits[{self.space.label}](n={len(self)})"
+
+
+def _check_space(space: CosetSpace, spaces) -> None:
+    """Raise ValueError unless each of `spaces` is `space`: the same group
     object (groups are built once per spec) and the same base.  Orbits of
     two spaces have no product or distance."""
-    for o in orbits:
-        if o.space.group is not space.group or o.space.base is not space.base:
-            raise ValueError(f"orbits of {space.label} and {o.space.label} do not mix")
+    for other in spaces:
+        if other.group is not space.group or other.base is not space.base:
+            raise ValueError(f"orbits of {space.label} and {other.label} do not mix")
+
+
+def _rows(orbits) -> tuple[CosetSpace | None, np.ndarray]:
+    """The space of a sequence of orbits and their representatives as an
+    (m, 4) array: `reps` itself for `Orbits`, the stacked representatives
+    of a list, which must all lie in the space of its first orbit (None
+    for an empty list)."""
+    if isinstance(orbits, Orbits):
+        return orbits.space, orbits.reps
+    if not orbits:
+        return None, np.empty((0, 4))
+    space = orbits[0].space
+    _check_space(space, (o.space for o in orbits))
+    return space, np.array([o.rep for o in orbits], dtype=float)
 
 
 def _blocks(space: CosetSpace, m: int) -> list[slice]:
@@ -318,24 +372,31 @@ def project(space: CosetSpace, w: Quaternion) -> Orbit:
 def orbit_distance(x: Orbit, y: Orbit) -> float:
     """Distance between orbits: min over the orbit of y of the distance to
     the representative of x."""
-    _check_space(x.space, (y,))
-    images = x.space.canon_images(np.array([y.rep]))[0]
-    return float(_nearest(np.array(x.rep), images))
+    _check_space(x.space, (y.space,))
+    return _orbit_gap(x.space, x.rep, y.rep)
+
+
+def _orbit_gap(space: CosetSpace, x, y) -> float:
+    """orbit_distance between two representatives, each given as 4 floats,
+    by a one-row sweep of the orbit of y."""
+    images = space.canon_images(np.array([y]))[0]
+    return float(_nearest(np.array(x), images))
 
 
 def product_from_representatives(
     space: CosetSpace, a: Quaternion, b: Quaternion
-) -> list[Orbit]:
+) -> Orbits:
     """Product multiset computed from explicit representatives: the classes
-    of a * g_i(b) over the group.  Agreement across every choice of
-    representatives is exactly the well-definedness of the product."""
-    return _orbits(space, _product(space, np.array([a]), np.array([b])))
+    of a * g_i(b) over the group, as `Orbits`.  Agreement across every
+    choice of representatives is exactly the well-definedness of the
+    product."""
+    return Orbits(space, _product(space, np.array([a]), np.array([b])))
 
 
-def orbit_product(x: Orbit, y: Orbit) -> list[Orbit]:
-    """The n values of the product of two orbits, as a list (a multiset;
+def orbit_product(x: Orbit, y: Orbit) -> Orbits:
+    """The n values of the product of two orbits, as `Orbits` (a multiset;
     order carries no meaning beyond determinism)."""
-    _check_space(x.space, (y,))
+    _check_space(x.space, (y.space,))
     return product_from_representatives(x.space, x.rep, y.rep)
 
 
@@ -378,10 +439,9 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return solve(cost)
 
 
-def match_multisets(
-    a: list[Orbit], b: list[Orbit], tol: float
-) -> tuple[bool, float]:
-    """Decide multiset equality of two orbit lists up to `tol`.
+def match_multisets(a, b, tol: float) -> tuple[bool, float]:
+    """Decide multiset equality of two sequences of orbits (`Orbits` or
+    lists) up to `tol`.
 
     Returns (matched, deviation).  When matched, deviation is the largest
     distance inside any matched pair: the distance between the two
@@ -398,17 +458,17 @@ def match_multisets(
     runs first: sorted per-coordinate values of the two rep sets must agree
     within tol, since any true matching permutes them.
 
-    Raises SizeMismatch for lists of different lengths and ValueError for
-    orbits of different spaces.
+    Raises SizeMismatch for multisets of different sizes and ValueError
+    for orbits of different spaces.
     """
     if len(a) != len(b):
         raise SizeMismatch(f"multisets of size {len(a)} vs {len(b)}")
     if not a:
         return True, 0.0
-    _check_space(a[0].space, (*a, *b))
-    return _match(
-        a[0].space, np.array([o.rep for o in a]), np.array([o.rep for o in b]), tol
-    )
+    space, ra = _rows(a)
+    other, rb = _rows(b)
+    _check_space(space, (other,))
+    return _match(space, ra, rb, tol)
 
 
 def _match(
@@ -438,26 +498,29 @@ def _match(
     return dev <= tol, dev
 
 
-def grouped_orbits(orbits: list[Orbit]) -> list[tuple[Orbit, int]]:
-    """The distinct orbits of a list with their multiplicities, in the
-    order of their rounded representatives: each orbit joins the first
-    group whose orbit lies within EPS_POINT of it.
+def grouped_orbits(orbits) -> list[tuple[Orbit, int]]:
+    """The distinct orbits of a sequence (`Orbits` or a list) with their
+    multiplicities, in the order of their rounded representatives: each
+    orbit joins the first group whose orbit lies within EPS_POINT of it.
+    Only the first orbit of each group is boxed.
 
     Every image of a point has real part +-w, so orbits whose |w| differ
     by more than EPS_POINT are further apart than that; only groups within
     twice that (to cover rounding) get the orbit distance."""
-    groups: list[tuple[Orbit, int]] = []
-    for o in sorted(orbits, key=lambda o: rounded_key(o.rep)):
-        w = abs(o.rep.w)
-        for i, (first, count) in enumerate(groups):
-            if abs(abs(first.rep.w) - w) <= 2.0 * EPS_POINT and (
-                orbit_distance(first, o) <= EPS_POINT
+    space, reps = _rows(orbits)
+    groups: list[list] = []  # [first representative, multiplicity]
+    for row in sorted(reps.tolist(), key=rounded_key):
+        w = abs(row[0])
+        for group in groups:
+            first = group[0]
+            if abs(abs(first[0]) - w) <= 2.0 * EPS_POINT and (
+                _orbit_gap(space, first, row) <= EPS_POINT
             ):
-                groups[i] = (first, count + 1)
+                group[1] += 1
                 break
         else:
-            groups.append((o, 1))
-    return groups
+            groups.append([row, 1])
+    return [(Orbit(space, Quaternion(*first)), count) for first, count in groups]
 
 
 def random_point(space: CosetSpace, rng: np.random.Generator) -> Orbit:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from nvalued import cli
 from nvalued.cli import build_parser, main
 from nvalued.topology import MAX_SAMPLES
 
@@ -157,6 +158,20 @@ def test_verify_counts_above_limit_are_usage_errors(capsys, flag):
     assert out == ""
     args = build_parser().parse_args(["verify", "C2", flag, str(MAX_SAMPLES)])
     assert vars(args)[flag[2:]] == MAX_SAMPLES
+
+
+def test_a_usage_error_leaves_the_next_call_as_from_a_fresh_parser(capsys):
+    # main() builds its parser once per process and reuses it.
+    assert cli._parser() is cli._parser()
+    code, out, err = run_cli(["verify", "C2", "--samples", "0"], capsys)
+    assert code == 2 and out == ""
+    assert "count must be >= 1" in err
+    argv = ["verify", "C2", "--samples", "5", "--triples", "2", "--json"]
+    code, out, err = run_cli(argv, capsys)
+    args = build_parser().parse_args(argv)
+    assert args.run(args) == code == 0
+    fresh, fresh_err = capsys.readouterr()
+    assert (out, err) == (fresh, fresh_err)
 
 
 @pytest.mark.parametrize("command", ["verify", "classify"])

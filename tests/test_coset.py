@@ -475,6 +475,109 @@ class TestProduct:
         assert match_multisets(orbit_product(x, y), flipped, 1e-9)[0]
 
 
+class TestOrbits:
+    def points(self, label="I", base="so3"):
+        s = make_space(label, base)
+        x = project(s, Quaternion(0.2, -0.4, 0.1, 0.8))
+        return s, x, project(s, Quaternion(0.6, 0.0, 0.8, 0.0))
+
+    def product(self, label="I", base="so3"):
+        s, x, y = self.points(label, base)
+        return s, x, y, orbit_product(x, y)
+
+    def test_reps_are_the_kernel_rows_bit_for_bit(self):
+        s, x, y, values = self.product()
+        rows = coset._product(s, np.array([x.rep]), np.array([y.rep]))
+        assert values.space is s
+        assert values.reps.shape == (60, 4)
+        assert values.reps.tobytes() == rows.tobytes()
+
+    def test_reps_are_read_only(self):
+        _, _, _, values = self.product()
+        with pytest.raises(ValueError, match="read-only"):
+            values.reps[0, 0] = 1.0
+
+    def test_sequence_of_orbits(self):
+        s, x, _, values = self.product()
+        rows = [Quaternion(*row) for row in values.reps.tolist()]
+        assert len(values) == 60
+        assert values[0].rep == rows[0] and values[0].space is s
+        assert values[7].rep == rows[7]
+        assert values[-1].rep == rows[-1]
+        assert values[np.int64(-60)].rep == rows[0]
+        with pytest.raises(IndexError):
+            values[60]
+        assert [o.rep for o in values] == rows
+        assert all(isinstance(o, Orbit) for o in values)
+
+    def test_slices_and_sums_are_lists(self):
+        _, x, _, values = self.product()
+        rows = [Quaternion(*row) for row in values.reps.tolist()]
+        for part, want in (
+            (values[:], rows),
+            (values[2:5], rows[2:5]),
+            (values[::-7], rows[::-7]),
+            (values + values, rows + rows),
+            (values + [x], rows + [x.rep]),
+            ([x] + values, [x.rep] + rows),
+            (values[:-1] + [x], rows[:-1] + [x.rep]),
+        ):
+            assert type(part) is list
+            assert [o.rep for o in part] == want
+
+    def test_matching_and_grouping_read_orbits_and_lists_alike(self):
+        _, _, _, values = self.product("T", "sp1")
+        listed = values[:]
+        assert match_multisets(values, listed, 1e-9) == (True, 0.0)
+        assert match_multisets(listed, values, 1e-9) == (True, 0.0)
+        grouped = [(o.rep, m) for o, m in grouped_orbits(values)]
+        assert grouped == [(o.rep, m) for o, m in grouped_orbits(listed)]
+
+    def test_grouping_boxes_only_the_first_orbit_of_each_group(self, monkeypatch):
+        s = make_space("C2", "sp1")
+        values = orbit_product(identity_orbit(s), project(s, QI))
+        boxed = []
+        orbit = coset.Orbit
+
+        def counting(*args):
+            boxed.append(1)
+            return orbit(*args)
+
+        monkeypatch.setattr(coset, "Orbit", counting)
+        ((first, count),) = grouped_orbits(values)
+        assert count == 2 and len(boxed) == 1
+        assert first.rep == Quaternion(*values.reps[0].tolist())
+
+    @pytest.mark.parametrize("other", [("C3", "so3"), ("D3", "sp1")])
+    def test_products_of_two_spaces_do_not_mix(self, other):
+        s, t = make_space("C3", "sp1"), make_space(*other)
+        x, y = project(s, QI), project(t, QI)
+        with pytest.raises(ValueError, match="do not mix"):
+            orbit_product(x, y)
+        values = orbit_product(x, x)
+        mixed = orbit_product(y, y)
+        if len(mixed) > len(values):
+            mixed = mixed[: len(values)]  # a list
+        with pytest.raises(ValueError, match="do not mix"):
+            match_multisets(values, mixed, 1e-6)
+        with pytest.raises(ValueError, match="do not mix"):
+            match_multisets(mixed, values, 1e-6)
+
+    def test_a_product_boxes_no_orbit(self, monkeypatch):
+        # The n values stay one array; boxing them cost about half of an
+        # orbit_product call on I.
+        _, x, y = self.points()
+
+        def refuse(*args):
+            raise AssertionError("a product boxed its values")
+
+        monkeypatch.setattr(coset, "_orbits", refuse)
+        monkeypatch.setattr(coset, "Orbit", refuse)
+        values = orbit_product(x, y)
+        assert len(values) == 60
+        assert values.reps.shape == (60, 4)
+
+
 class TestOrbitDistance:
     def test_zero_on_self(self, rng):
         s = make_space("C4", "sp1")
