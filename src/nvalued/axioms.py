@@ -23,9 +23,8 @@ from .coset import (
     _orbits,
     _pair_distances,
     _product,
-    _product_left,
-    _product_right,
     _raw_product,
+    _real_part_gap,
     _sample,
     _witnessed,
     identity_orbit,
@@ -238,6 +237,22 @@ def _witnessed_well_defined(
     return np.where(_permutations(index), dist.max(axis=1), np.inf)
 
 
+def _unwitnessed(
+    space: CosetSpace, left: np.ndarray, right: np.ndarray, tol: float
+) -> np.ndarray:
+    """Deviation between the multisets of the raw values in each trial of
+    the (m, k, 4) arrays `left` and `right`, on a set without tables.  A
+    trial whose sorted real parts differ by more than `tol` fails with
+    that gap, a lower bound of its deviation (`_real_part_gap`), and is
+    never canonicalized; the others are canonicalized and matched by
+    `_match`, which the gap test leaves with the same verdict."""
+    dev = _real_part_gap(space, left, right)
+    for t in np.flatnonzero(dev <= tol):
+        a, b = _canonical(space, left[t]), _canonical(space, right[t])
+        dev[t] = _match(space, a, b, tol)[1]
+    return dev
+
+
 def check_associativity(
     space: CosetSpace,
     triples: Optional[int] = None,
@@ -245,9 +260,11 @@ def check_associativity(
     tol: float = TOL_AXIOM,
 ) -> AxiomReport:
     """(x y) z and x (y z), each an n^2-element multiset, must agree.  On a
-    group with its tables the values are paired by their witnesses; on a
-    set that is not closed, such as a corrupted copy, both multisets are
-    canonicalized and matched."""
+    group with its tables the values are paired by their witnesses.  On a
+    set that is not closed, such as a corrupted copy, the n^2 values of
+    each side are formed from the canonical values of x y and y z; a
+    trial whose sorted real parts differ by more than tol fails on that
+    gap, and only the others are canonicalized and matched."""
     if triples is None:
         triples = default_triples(space)
     n = space.n
@@ -258,9 +275,13 @@ def check_associativity(
         x, y, z = points.transpose(1, 0, 2)
         if closed:
             return _witnessed_associativity(space, x, y, z)
-        left = _product_left(space, x, y, z).reshape(count, n * n, 4)
-        right = _product_right(space, x, y, z).reshape(count, n * n, 4)
-        return [_match(space, a, b, tol)[1] for a, b in zip(left, right)]
+        # The values of x y and y z stay canonical: on a set that is not
+        # closed, the n^2 values depend on the representatives they start from.
+        left = _raw_product(space, _product(space, x, y), np.repeat(z, n, axis=0))
+        right = _raw_product(space, np.repeat(x, n, axis=0), _product(space, y, z))
+        return _unwitnessed(
+            space, left.reshape(count, n * n, 4), right.reshape(count, n * n, 4), tol
+        )
 
     return _run_trials(
         space, "associativity", triples, seed, tol, 2 * n * n, block
@@ -272,7 +293,9 @@ def check_well_defined(
 ) -> AxiomReport:
     """The product multiset must not depend on which representatives of the
     two classes it is computed from.  The values are paired by the moves
-    on a group with its tables, and matched on a set that is not closed."""
+    on a group with its tables.  On a set that is not closed, a trial whose
+    raw values have sorted real parts more than tol apart fails on that
+    gap, and only the others are canonicalized and matched."""
     n = space.n
     moves = np.random.default_rng([seed, 1])
     closed = space.group._table is not None
@@ -286,12 +309,14 @@ def check_well_defined(
         images = space.canon_images(pairs)
         chosen = moves.integers(images.shape[1], size=(count, 2)).ravel()
         moved = images[np.arange(2 * count), chosen]
-        want = _product(space, pairs[0::2], pairs[1::2]).reshape(count, n, 4)
-        got = _product(space, moved[0::2], moved[1::2]).reshape(count, n, 4)
         if closed:
+            want = _product(space, pairs[0::2], pairs[1::2]).reshape(count, n, 4)
+            got = _product(space, moved[0::2], moved[1::2]).reshape(count, n, 4)
             elements = (chosen % n).reshape(count, 2)
             return _witnessed_well_defined(space, want, got, elements, tol)
-        return [_match(space, p, q, tol)[1] for p, q in zip(want, got)]
+        want = _raw_product(space, pairs[0::2], pairs[1::2])
+        got = _raw_product(space, moved[0::2], moved[1::2])
+        return _unwitnessed(space, want, got, tol)
 
     return _run_trials(space, "well_defined", samples, seed, tol, 2 * n, block)
 

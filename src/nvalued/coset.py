@@ -400,19 +400,6 @@ def orbit_product(x: Orbit, y: Orbit) -> Orbits:
     return product_from_representatives(x.space, x.rep, y.rep)
 
 
-def _product_left(space: CosetSpace, x, y, z) -> np.ndarray:
-    """All n^2 values of (x[t] y[t]) z[t] for each row t of the (m, 4)
-    arrays, as n^2 consecutive rows per t: row i*n + j of a block holds the
-    j-th value of the i-th value of x y times z."""
-    return _product(space, _product(space, x, y), np.repeat(z, space.n, axis=0))
-
-
-def _product_right(space: CosetSpace, x, y, z) -> np.ndarray:
-    """All n^2 values of x[t] (y[t] z[t]), laid out as in _product_left
-    with the values of y z in place of those of x y."""
-    return _product(space, np.repeat(x, space.n, axis=0), _product(space, y, z))
-
-
 def orbit_inverse(x: Orbit) -> Orbit:
     """The distinguished inverse: the orbit of the conjugate (equivalently
     the quaternion inverse, for unit representatives)."""
@@ -496,6 +483,36 @@ def _match(
     rows, cols = linear_sum_assignment(dm)
     dev = float(dm[rows, cols].max())
     return dev <= tol, dev
+
+
+def _real_parts(space: CosetSpace, values: np.ndarray) -> np.ndarray:
+    """The real part of each normalized row of a (..., 4) stack: w on the
+    quaternion base, |w| on the rotation base.  The arithmetic is that of
+    `normalized_rows`, so each is bit for bit the first coordinate of the
+    canonical representative of its row, in absolute value on the rotation
+    base, where the kernel only flips the sign of w."""
+    sq = values * values
+    w = values[..., 0] / np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3])
+    return np.abs(w) if space.base is Base.SO3 else w
+
+
+def _real_part_gap(space: CosetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The largest gap between the sorted real parts (`_real_parts`) of
+    each pair of rows of two (..., m, 4) stacks of raw values, the same as
+    that of their canonical representatives; shape (...).
+
+    Every image in an orbit keeps w, or w up to sign on the rotation base,
+    so the orbit distance between two points is at least the gap between
+    their real parts.  A matching of the two rows within tol therefore
+    pairs real parts that differ by at most tol, and then the sorted real
+    parts differ by at most tol too.  So a gap over tol means that no
+    matching within tol exists: `_match` of the canonical representatives
+    fails as well, by its column test or by a pair over tol in its
+    positional or assignment pairing, and the gap is a lower bound of the
+    deviation that any matching reaches.  A NaN value gives a NaN gap."""
+    wa = np.sort(_real_parts(space, a), axis=-1)
+    wb = np.sort(_real_parts(space, b), axis=-1)
+    return np.abs(wa - wb).max(axis=-1)
 
 
 def grouped_orbits(orbits) -> list[tuple[Orbit, int]]:

@@ -28,8 +28,6 @@ from .quaternion import (
     Quaternion,
     canonical_sign,
     left_matrix,
-    qdist,
-    qmul,
     rounded_key,
 )
 from .tolerances import EPS_POINT
@@ -283,13 +281,14 @@ def element_order(g: Quaternion, group: RotationGroup) -> int:
 
 
 def has_half_turn(group: RotationGroup) -> bool:
-    """True iff some non-identity element squares to the identity."""
-    for i, g in enumerate(group.elements):
-        if i == group.identity_index:
-            continue
-        if qdist(canonical_sign(qmul(g, g).normalized()), ONE) <= EPS_POINT:
-            return True
-    return False
+    """True iff some non-identity element squares to the identity, +-1.
+    The square of a unit lift (w, v) is (2 w^2 - 1, 2 w v), which lies
+    2|w| from -1 and 2|v| from 1, so one array test over the element rows
+    decides it."""
+    rows = group.element_rows
+    dist = 2.0 * np.minimum(np.abs(rows[:, 0]), np.sqrt((rows[:, 1:] ** 2).sum(axis=1)))
+    dist[group.identity_index] = np.inf
+    return bool((dist <= EPS_POINT).any())
 
 
 def catalog() -> list[GroupSpec]:

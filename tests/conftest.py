@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, strategies as st
 
 import nvalued
-from nvalued.coset import Base, CosetSpace, _orbits, _product_left, _product_right
+from nvalued.coset import Base, CosetSpace, _orbits, _product
 from nvalued.quaternion import Quaternion, left_matrix
 from nvalued.rotgroups import GroupSpec, RotationGroup, build_group
 
@@ -18,14 +18,27 @@ def make_space(label: str, base: str) -> CosetSpace:
     return CosetSpace(build_group(GroupSpec.parse(label)), Base(base))
 
 
+def product_left(space: CosetSpace, x, y, z) -> np.ndarray:
+    """All n^2 canonical values of (x[t] y[t]) z[t] for each row t of the
+    (m, 4) arrays, as n^2 consecutive rows per t: row i*n + j of a block
+    holds the j-th value of the i-th value of x y times z."""
+    return _product(space, _product(space, x, y), np.repeat(z, space.n, axis=0))
+
+
+def product_right(space: CosetSpace, x, y, z) -> np.ndarray:
+    """All n^2 canonical values of x[t] (y[t] z[t]), laid out as in
+    product_left with the values of y z in place of those of x y."""
+    return _product(space, np.repeat(x, space.n, axis=0), _product(space, y, z))
+
+
 def triple_products(x, y, z):
     """The n^2 values of (x y) z and of x (y z), as lists of orbits of the
-    space of x, from the kernels that the associativity check runs."""
+    space of x, every value canonicalized."""
     space = x.space
     reps = [np.array([o.rep]) for o in (x, y, z)]
     return (
-        _orbits(space, _product_left(space, *reps)),
-        _orbits(space, _product_right(space, *reps)),
+        _orbits(space, product_left(space, *reps)),
+        _orbits(space, product_right(space, *reps)),
     )
 
 

@@ -36,7 +36,8 @@ from nvalued.rotgroups import GroupSpec, build_group, catalog
 from nvalued.tolerances import EPS_POINT, TOL_AXIOM
 
 from .conftest import (
-    equator_quaternions, make_space, triple_products, unit_quaternions,
+    equator_quaternions, make_space, product_left, product_right,
+    triple_products, unit_quaternions,
 )
 
 SMALL_SPACES = [
@@ -665,7 +666,7 @@ class TestMultisets:
     @pytest.mark.xfail(
         strict=True,
         reason="coset._match rejects on sorted x, y, z columns, which are no "
-        "orbit invariant (ROADMAP open item 2)",
+        "orbit invariant (ROADMAP open item 3)",
     )
     def test_representative_jump_alone_still_matches(self):
         # these two representatives of one orbit differ by 1.6 in y and z
@@ -680,8 +681,8 @@ class TestMultisets:
         s = make_space("T", "so3")
         swept = count_swept_rows(monkeypatch)
         x, y, z = (np.array([random_point(s, rng).rep]) for _ in range(3))
-        left = coset._product_left(s, x, y, z)
-        right = coset._product_right(s, x, y, z)
+        left = product_left(s, x, y, z)
+        right = product_right(s, x, y, z)
         ok, dev = coset._match(s, left, right, 1e-6)
         assert ok and dev < 1e-12
         assert swept == []
@@ -747,6 +748,46 @@ class TestMultisets:
         y = project(s, Quaternion(-0.6, 0.0, 0.0, 0.8))
         assert abs(x.rep.w) == abs(y.rep.w)
         assert [m for _, m in grouped_orbits([x, y])] == [1, 1]
+
+
+class TestRealPartGap:
+    @pytest.mark.parametrize("base", ["sp1", "so3"])
+    @pytest.mark.parametrize("label", ["C2", "D3", "T", "O", "I"])
+    def test_orbit_images_in_any_order_keep_the_real_parts(self, label, base, rng):
+        # No new false alarm: each raw product value moved to a random image
+        # of its orbit, lift sign included on so3, and the rows shuffled.
+        s = make_space(label, base)
+        a, b = random_units(rng, 8).reshape(2, 4, 4)
+        values = coset._raw_product(s, a, b)
+        images = s.canon_images(values.reshape(-1, 4))
+        pick = rng.integers(images.shape[1], size=len(images))
+        moved = images[np.arange(len(images)), pick].reshape(values.shape)
+        moved = np.stack([rng.permutation(rows) for rows in moved])
+        gap = coset._real_part_gap(s, values, moved)
+        assert gap.shape == (4,)
+        assert gap.max() <= 1e-15
+
+    @pytest.mark.parametrize("base", ["sp1", "so3"])
+    @pytest.mark.parametrize("label", ["C3", "I"])
+    def test_raw_values_have_the_real_parts_of_their_representatives(
+        self, label, base, rng
+    ):
+        # bit for bit, on the singular set too
+        s = make_space(label, base)
+        a, b = random_units(rng, 6).reshape(2, 3, 4)
+        values = np.concatenate(
+            [coset._raw_product(s, a, b).reshape(-1, 4), singular_points(s, rng)]
+        )
+        w = _canonical(s, values)[:, 0]
+        want = np.abs(w) if s.base is Base.SO3 else w
+        assert np.array_equal(coset._real_parts(s, values), want)
+
+    def test_representative_jump_reads_no_gap(self):
+        s = make_space("C2", "sp1")
+        above = project(s, Quaternion(0.6, 5.001e-10, -0.8, 0.0))
+        below = project(s, Quaternion(0.6, 4.999e-10, -0.8, 0.0))
+        gap = coset._real_part_gap(s, np.array([above.rep]), np.array([below.rep]))
+        assert gap == 0.0
 
 
 def count_swept_rows(monkeypatch):

@@ -243,6 +243,29 @@ def test_half_turn_iff_even_order(label, order):
     assert has_half_turn(g) == (order % 2 == 0)
 
 
+def loop_has_half_turn(group):
+    """has_half_turn one element at a time, on the scalar quaternion
+    functions."""
+    for i, g in enumerate(group.elements):
+        if i == group.identity_index:
+            continue
+        if qdist(canonical_sign(qmul(g, g).normalized()), ONE) <= EPS_POINT:
+            return True
+    return False
+
+
+def test_half_turn_test_matches_the_per_element_loop():
+    specs = catalog() + [GroupSpec("C", n) for n in range(1, 121)]
+    specs += [GroupSpec("D", n) for n in range(1, 61)]
+    for spec in specs:
+        g = build_group(spec)
+        groups = [g]
+        if len(g) > 1:
+            groups += [corrupted_copy(g, extra_angle=a) for a in (0.1, 1e-5)]
+        for h in groups:
+            assert has_half_turn(h) == loop_has_half_turn(h), spec.label
+
+
 def test_binary_cover_closed_under_negation():
     g = build_group(GroupSpec.parse("D3"))
     cover = g.cover
