@@ -30,7 +30,7 @@ from .coset import (
     identity_orbit,
     orbit_distance,
 )
-from .quaternion import _CONJ_SIGN, Quaternion, canonical_sign, qmul
+from .quaternion import _CONJ_SIGN, canonical_sign, left_matrix, normalized_rows
 from .rotgroups import RotationGroup
 from .tolerances import TOL_AXIOM
 
@@ -345,10 +345,9 @@ def corrupted_copy(group: RotationGroup, extra_angle: float = 0.1) -> RotationGr
     closed and the axiom checks must fail on it."""
     if len(group) < 2:
         raise ValueError("the trivial group has no element to corrupt")
-    tweak = Quaternion(
-        math.cos(extra_angle / 2.0), 0.0, 0.0, math.sin(extra_angle / 2.0)
-    )
+    half = extra_angle / 2.0
+    tweak = np.array([math.cos(half), 0.0, 0.0, math.sin(half)])
     rows = group.element_rows.copy()
     i = 1 if group.identity_index == 0 else 0
-    rows[i] = canonical_sign(qmul(group.elements[i], tweak).normalized())
+    rows[i] = canonical_sign(normalized_rows(left_matrix(rows[i : i + 1]) @ tweak))[0]
     return RotationGroup(group.spec, rows)

@@ -1,9 +1,9 @@
-"""Quaternion arithmetic, the unit 3-sphere, and its double cover of SO(3).
+"""Quaternions, the unit 3-sphere, and its double cover of SO(3).
 
-Values are immutable 4-tuples of floats representing w + x*i + y*j + z*k.
-Unit quaternions act on points by conjugation q p q*, which restricted to
-imaginary quaternions is the rotation covered by q (with -q covering the
-same rotation).
+The value types are `Quaternion`, an immutable 4-tuple w + x*i + y*j + z*k,
+and `Vec3`, a point of R^3.  Arithmetic runs on (m, 4) arrays through the
+kernels `left_matrix`, `right_matrix`, `conj_matrix` (p -> q p q*: on
+imaginary p, the rotation covered by q and -q), `normalized_rows`, `random_units`.
 """
 
 from __future__ import annotations
@@ -66,11 +66,6 @@ class Quaternion(NamedTuple):
             raise ValueError(f"cannot normalize a quaternion of norm {n}")
         return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
 
-    def __mul__(self, other):  # Hamilton product
-        if isinstance(other, Quaternion):
-            return qmul(self, other)
-        return NotImplemented
-
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
 
@@ -79,34 +74,6 @@ ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 QI = Quaternion(0.0, 1.0, 0.0, 0.0)
 QJ = Quaternion(0.0, 0.0, 1.0, 0.0)
 QK = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def qmul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product a*b."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return Quaternion(
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    )
-
-
-def qdist(a: Quaternion, b: Quaternion) -> float:
-    """Euclidean distance in R^4."""
-    return math.sqrt(
-        (a.w - b.w) ** 2 + (a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2
-    )
-
-
-def conj_action(q: Quaternion, p: Quaternion) -> Quaternion:
-    """Conjugation q p q* of a unit quaternion q on a point p.
-
-    Preserves the real part and the norm of p; restricted to imaginary
-    quaternions it is the rotation covered by q.
-    """
-    return qmul(qmul(q, p), q.conjugate())
 
 
 def canonical_sign(q):

@@ -12,6 +12,37 @@ from nvalued.quaternion import Quaternion, left_matrix
 from nvalued.rotgroups import GroupSpec, RotationGroup, build_group
 
 
+# sign and target index of e_i * e_j for basis order (1, i, j, k)
+_SIGN = [
+    [1, 1, 1, 1],
+    [1, -1, 1, -1],
+    [1, -1, -1, 1],
+    [1, 1, -1, -1],
+]
+_INDEX = [
+    [0, 1, 2, 3],
+    [1, 0, 3, 2],
+    [2, 3, 0, 1],
+    [3, 2, 1, 0],
+]
+
+
+def qmul_oracle(a, b) -> Quaternion:
+    """The Hamilton product a*b expanded over the basis table (ij = k,
+    jk = i, ki = j and squares -1): the tests' one scalar reference for the
+    array kernels of nvalued.quaternion."""
+    out = [0.0, 0.0, 0.0, 0.0]
+    for i in range(4):
+        for j in range(4):
+            out[_INDEX[i][j]] += _SIGN[i][j] * a[i] * b[j]
+    return Quaternion(*out)
+
+
+def conj_oracle(q: Quaternion, p) -> Quaternion:
+    """The conjugation q p q* as two products of qmul_oracle."""
+    return qmul_oracle(qmul_oracle(q, p), q.conjugate())
+
+
 @lru_cache(maxsize=None)
 def make_space(label: str, base: str) -> CosetSpace:
     """Shared space cache so tests do not rebuild groups over and over."""

@@ -19,7 +19,7 @@ from nvalued.axioms import (
     run_all,
 )
 from nvalued.coset import Base, CosetSpace
-from nvalued.quaternion import Quaternion, conj_matrix, qdist, rotation_of
+from nvalued.quaternion import Quaternion, conj_matrix, rotation_of
 from nvalued.rotgroups import GroupSpec, build_group, catalog
 from nvalued.topology import (
     check_suspension,
@@ -83,9 +83,9 @@ def test_criterion_2_hurwitz_oracle():
     cover = build_group(GroupSpec.parse("T")).cover
     assert len(cover) == 24
     for u in units:
-        assert min(qdist(u, g) for g in cover) < 1e-9
+        assert min(math.dist(u, g) for g in cover) < 1e-9
     for g in cover:
-        assert min(qdist(u, g) for u in units) < 1e-9
+        assert min(math.dist(u, g) for u in units) < 1e-9
 
 
 def test_criterion_3_axiom_suite_all_spaces():

@@ -15,13 +15,17 @@ The `--all` digest dates from the canonicalization kernel becoming the
 only step that normalizes a point: the inverse check no longer normalizes
 the conjugates before the kernel does, which moved the last bits of two
 inverse `max_deviation` values.
+The rows of the negative-control groups are pinned the same way: those
+rows decide every catch count of the controls.
 """
 
 import hashlib
 
 import pytest
 
+from nvalued.axioms import corrupted_copy
 from nvalued.cli import main
+from nvalued.rotgroups import build_group, catalog
 
 GENERATE_DIGESTS = {
     "C1": "e6eacee108b8803bb6999a890744cd1877f8672d1d24f56eb9219f82d1adc881",
@@ -119,3 +123,22 @@ def test_mul_text_and_json_are_unchanged(case, capsys):
 @pytest.mark.parametrize("args", VERIFY_DIGESTS)
 def test_verify_samples_are_unchanged(args, capsys):
     assert digest(["verify", *args.split()], capsys) == VERIFY_DIGESTS[args]
+
+
+# `element_rows` of corrupted_copy(g, angle) for each catalog group g of
+# order >= 2 in catalog order, the angles in this order within each group.
+CORRUPTION_ANGLES = (0.1, 1e-5, 1e-7, 1e-9)
+CORRUPTED_ROWS_DIGEST = (
+    "f329ea1e92b9e8450cc736649b94954451d32bfdf24e6eeeafcfdcc9263a7379"
+)
+
+
+def test_corrupted_rows_are_unchanged():
+    rows = hashlib.sha256()
+    for spec in catalog():
+        group = build_group(spec)
+        if len(group) < 2:
+            continue
+        for angle in CORRUPTION_ANGLES:
+            rows.update(corrupted_copy(group, angle).element_rows.tobytes())
+    assert rows.hexdigest() == CORRUPTED_ROWS_DIGEST

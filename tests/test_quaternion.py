@@ -1,17 +1,23 @@
-"""Quaternion algebra against independent oracles.
+"""Quaternion algebra of the array kernels against independent oracles.
 
-The multiplication oracle expands the product over the basis table
-(ij = k, jk = i, ki = j and squares -1) instead of the hardcoded component
-formulas, and the rotation oracle is the classical axis-angle formula for
-rotating a 3-vector.  Law-level properties run under hypothesis.
+Products run through `left_matrix(a) @ b` and conjugations through
+`conj_matrix(q) @ x`, the kernels every library computation uses.  The
+multiplication oracle, `qmul_oracle` in conftest, expands the product over
+the basis table (ij = k, jk = i, ki = j and squares -1) instead of the
+component formulas, and the rotation oracle is the classical axis-angle
+formula for rotating a 3-vector.  Law-level properties run under
+hypothesis.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nvalued
+from nvalued import quaternion
 from nvalued.quaternion import (
     ONE,
     QI,
@@ -20,40 +26,25 @@ from nvalued.quaternion import (
     Quaternion,
     Vec3,
     canonical_sign,
-    conj_action,
     conj_matrix,
     left_matrix,
     normalized_rows,
-    qdist,
-    qmul,
     random_units,
     right_matrix,
     rotation_of,
 )
 
-from .conftest import unit_quaternions
-
-# sign and target index of e_i * e_j for basis order (1, i, j, k)
-_SIGN = [
-    [1, 1, 1, 1],
-    [1, -1, 1, -1],
-    [1, -1, -1, 1],
-    [1, 1, -1, -1],
-]
-_INDEX = [
-    [0, 1, 2, 3],
-    [1, 0, 3, 2],
-    [2, 3, 0, 1],
-    [3, 2, 1, 0],
-]
+from .conftest import conj_oracle, qmul_oracle, unit_quaternions
 
 
-def qmul_oracle(a: Quaternion, b: Quaternion) -> Quaternion:
-    out = [0.0, 0.0, 0.0, 0.0]
-    for i in range(4):
-        for j in range(4):
-            out[_INDEX[i][j]] += _SIGN[i][j] * a[i] * b[j]
-    return Quaternion(*out)
+def kernel_mul(a, b) -> Quaternion:
+    """The Hamilton product a*b as the library forms it: left_matrix(a) @ b."""
+    return Quaternion(*(left_matrix(a) @ np.array(b)).tolist())
+
+
+def kernel_conj(q, x) -> Quaternion:
+    """The conjugation q x q* as the library forms it: conj_matrix(q) @ x."""
+    return Quaternion(*(conj_matrix(q) @ np.array(x)).tolist())
 
 
 def rodrigues(axis: Vec3, angle: float, v: Vec3) -> Vec3:
@@ -82,50 +73,58 @@ BASIS_PRODUCTS = [
 
 @pytest.mark.parametrize("a, b, expected", BASIS_PRODUCTS)
 def test_basis_products(a, b, expected):
-    assert qmul(a, b) == expected
+    assert kernel_mul(a, b) == expected
+    assert qmul_oracle(a, b) == expected
 
 
 def test_mul_against_table_oracle(rng):
     for _ in range(200):
         a = Quaternion(*(rng.uniform(-2, 2) for _ in range(4)))
         b = Quaternion(*(rng.uniform(-2, 2) for _ in range(4)))
-        assert qdist(qmul(a, b), qmul_oracle(a, b)) < 1e-12
+        assert math.dist(kernel_mul(a, b), qmul_oracle(a, b)) < 1e-12
 
 
 @given(unit_quaternions(), unit_quaternions(), unit_quaternions())
 def test_mul_associative(a, b, c):
-    assert qdist(qmul(qmul(a, b), c), qmul(a, qmul(b, c))) < 1e-12
+    left = kernel_mul(kernel_mul(a, b), c)
+    assert math.dist(left, kernel_mul(a, kernel_mul(b, c))) < 1e-12
+    assert math.dist(left, qmul_oracle(qmul_oracle(a, b), c)) < 1e-12
 
 
 @given(unit_quaternions(), unit_quaternions())
 def test_norm_multiplicative(a, b):
-    assert abs(qmul(a, b).norm() - a.norm() * b.norm()) < 1e-12
+    assert abs(kernel_mul(a, b).norm() - a.norm() * b.norm()) < 1e-12
+    assert abs(qmul_oracle(a, b).norm() - a.norm() * b.norm()) < 1e-12
 
 
 @given(unit_quaternions(), unit_quaternions())
 def test_conjugate_antiautomorphism(a, b):
-    lhs = qmul(a, b).conjugate()
-    rhs = qmul(b.conjugate(), a.conjugate())
-    assert qdist(lhs, rhs) < 1e-12
+    lhs = kernel_mul(a, b).conjugate()
+    rhs = kernel_mul(b.conjugate(), a.conjugate())
+    assert math.dist(lhs, rhs) < 1e-12
+    assert math.dist(lhs, qmul_oracle(a, b).conjugate()) < 1e-12
 
 
 class TestConjAction:
     def test_hamilton_examples(self):
         # conjugation by k is the half-turn about z: fixes +-k, negates i, j
-        assert qdist(conj_action(QK, QJ), -QJ) < 1e-15
-        assert qdist(conj_action(QK, QI), -QI) < 1e-15
-        assert qdist(conj_action(QK, QK), QK) < 1e-15
+        for conj in (kernel_conj, conj_oracle):
+            assert math.dist(conj(QK, QJ), -QJ) < 1e-15
+            assert math.dist(conj(QK, QI), -QI) < 1e-15
+            assert math.dist(conj(QK, QK), QK) < 1e-15
 
     @given(unit_quaternions(), unit_quaternions())
     def test_preserves_norm_and_re(self, q, x):
-        y = conj_action(q, x)
+        y = kernel_conj(q, x)
         assert abs(y.norm() - x.norm()) < 1e-12
         assert abs(y.w - x.w) < 1e-12
+        assert math.dist(y, conj_oracle(q, x)) < 1e-12
 
     @given(unit_quaternions())
     def test_both_lifts_act_identically(self, q):
         x = Quaternion(0.1, 0.2, -0.3, 0.4)
-        assert qdist(conj_action(q, x), conj_action(-q, x)) < 1e-12
+        assert math.dist(kernel_conj(q, x), kernel_conj(-q, x)) < 1e-12
+        assert math.dist(kernel_conj(q, x), conj_oracle(-q, x)) < 1e-12
 
 
 class TestRotationOf:
@@ -138,7 +137,7 @@ class TestRotationOf:
     def test_half_turn_about_z(self):
         axis, angle = rotation_of(QK)
         assert abs(angle - math.pi) < 1e-15
-        assert qdist(Quaternion(0.0, *axis), QK) < 1e-15
+        assert math.dist(Quaternion(0.0, *axis), QK) < 1e-15
 
     def test_angle_range_and_axis_sign(self):
         # lift of a rotation by -2pi/3 about z: comes back as 4pi/3 about +z
@@ -154,7 +153,7 @@ class TestRotationOf:
         if axis is None:
             return
         v = Vec3(*np.random.default_rng(7).uniform(-1, 1, 3))
-        rotated = conj_action(q, Quaternion(0.0, *v))[1:]
+        rotated = conj_oracle(q, Quaternion(0.0, *v))[1:]
         expected = rodrigues(axis, angle, v)
         assert max(abs(a - b) for a, b in zip(rotated, expected)) < 1e-9
 
@@ -220,8 +219,8 @@ def test_random_unit_covers_all_signs(rng):
 @given(unit_quaternions(), unit_quaternions())
 def test_matrices_reproduce_products(p, q):
     v = np.array(tuple(q))
-    assert np.allclose(left_matrix(p) @ v, np.array(tuple(qmul(p, q))), atol=1e-12)
-    assert np.allclose(right_matrix(p) @ v, np.array(tuple(qmul(q, p))), atol=1e-12)
+    assert np.allclose(left_matrix(p) @ v, np.array(qmul_oracle(p, q)), atol=1e-12)
+    assert np.allclose(right_matrix(p) @ v, np.array(qmul_oracle(q, p)), atol=1e-12)
 
 
 @given(st.lists(unit_quaternions(), min_size=1, max_size=6))
@@ -252,8 +251,8 @@ def test_canonical_sign_folds_rows_like_single_quaternions(qs):
 
 @given(unit_quaternions(), unit_quaternions())
 def test_conj_matrix_reproduces_conj_action(q, x):
-    got = conj_matrix(q) @ np.array(tuple(x))
-    assert np.allclose(got, np.array(tuple(conj_action(q, x))), atol=1e-12)
+    got = conj_matrix(q) @ np.array(x)
+    assert np.allclose(got, np.array(conj_oracle(q, x)), atol=1e-12)
 
 
 def test_vec3_normalized_rejects_zero():
@@ -298,3 +297,18 @@ def test_normalized_rows_equal_quaternion_normalized_bit_for_bit(scale):
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert np.array_equal(np.signbit(got), np.signbit(rows))
     assert got is not rows
+
+
+def test_public_surface_is_all_and_holds_one_arithmetic():
+    for name in nvalued.__all__:
+        getattr(nvalued, name)
+    public = {
+        name for name, value in vars(nvalued).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public <= set(nvalued.__all__)
+    # products and conjugations exist only as the array kernels
+    for name in ("qmul", "qdist", "conj_action"):
+        assert not hasattr(nvalued, name)
+        assert not hasattr(quaternion, name)
+    assert "__mul__" not in vars(Quaternion)

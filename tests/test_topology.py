@@ -12,10 +12,7 @@ from nvalued.quaternion import (
     QJ,
     QK,
     Quaternion,
-    conj_action,
     conj_matrix,
-    qdist,
-    qmul,
     random_units,
 )
 from nvalued.rotgroups import GroupSpec, build_group, catalog, has_half_turn
@@ -30,6 +27,8 @@ from nvalued.topology import (
     solve_antipodal,
     tau_has_fixed_points,
 )
+
+from .conftest import conj_oracle, qmul_oracle
 
 EXPECTED_SIGNATURES = {
     "C2": (2, 2), "C3": (3, 3), "C4": (4, 4), "C5": (5, 5),
@@ -46,8 +45,8 @@ class TestAntipodal:
         assert sol.solvable
         assert abs(sol.axis.z) == pytest.approx(1.0)
         # i and j sit on the solution circle
-        assert qdist(conj_action(QK, QI), -QI) < 1e-15
-        assert qdist(conj_action(QK, QJ), -QJ) < 1e-15
+        assert math.dist(conj_oracle(QK, QI), -QI) < 1e-15
+        assert math.dist(conj_oracle(QK, QJ), -QJ) < 1e-15
 
     def test_identity_unsolvable(self):
         sol = solve_antipodal(ONE)
@@ -61,11 +60,11 @@ class TestAntipodal:
         assert not solve_antipodal(q).solvable
 
     def test_circle_solutions_satisfy_equation(self):
-        for q in (QK, QI, qmul(QI, QJ)):
+        for q in (QK, QI, qmul_oracle(QI, QJ)):
             sol = solve_antipodal(q)
             assert sol.solvable
             for x in sol.solution_circle():
-                residual = qdist(conj_action(q, x), -x)
+                residual = math.dist(conj_oracle(q, x), -x)
                 assert residual < 1e-9
                 assert abs(x.norm() - 1.0) < 1e-12
                 assert x.w == 0.0
@@ -108,7 +107,7 @@ class TestSuspension:
     def test_left_multiplication_is_not_re_preserving(self):
         # the control: translation, unlike conjugation, moves the real part
         x = Quaternion(0.3, 0.1, -0.2, 0.5).normalized()
-        assert abs(qmul(QK, x).w - x.w) > 0.1
+        assert abs(qmul_oracle(QK, x).w - x.w) > 0.1
 
     @pytest.mark.parametrize("spec", catalog(), ids=str)
     def test_deviation_equals_full_image_tensor(self, spec):
