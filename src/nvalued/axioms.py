@@ -4,7 +4,11 @@ the identity appears among the products of a point with its inverse, and
 the two ways of associating a triple product give the same multiset.
 
 Each check runs independent trials on freshly sampled points and reports
-failure counts plus the worst deviation seen.
+failure counts plus the worst deviation seen.  On a group with its tables,
+associativity and well-definedness pair each raw product value with the
+one that closure makes equal to it and report the largest distance between
+partners; only a set that is not closed, such as a negative control,
+canonicalizes its values and matches them as multisets.
 """
 
 from __future__ import annotations
@@ -21,12 +25,10 @@ from .coset import (
     _distances_to_identity,
     _match,
     _orbits,
-    _pair_distances,
     _product,
     _raw_product,
     _real_part_gap,
     _sample,
-    _witnessed,
     identity_orbit,
     orbit_distance,
 )
@@ -176,68 +178,56 @@ def _permutations(index: np.ndarray) -> np.ndarray:
     return hit.all(axis=1)
 
 
-def _witnessed_associativity(
+def _paired_associativity(
     space: CosetSpace, x: np.ndarray, y: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
     """Deviation of (x y) z from x (y z) for each row of the (m, 4) arrays,
-    on a space whose group has its tables, with each value of one side
-    paired to the value of the other that the witnesses name.
+    on a space whose group has its tables, with each raw value of one side
+    paired to the raw value of the other that closure names.
 
-    Write P(g, h) = x g(y) h(z), and let s_i a_i and t_l b_l be the
-    witnesses of the i-th value of x y and the l-th value of y z.  Then
-    value (i, j) of (x y) z is L = s_i a_i(P(g_i, a_i^-1 g_j)), and value
-    (l, k) of x (y z) is R = t_l P(g_k b_l, g_k b_l g_l), so the two are
-    one orbit at g_l = g_i^-1 a_i^-1 g_j and g_k = g_i b_l^-1, where
-    L = s_i t_l a_i(R).  The deviation is the largest |L - s_i t_l a_i(R)|
-    over the pairs; it is inf unless the pairing is a bijection.  The
-    values are compared as computed, before canonicalization."""
+    Value (i, j) of (x y) z is x g_i(y) g_j(z), and value (l, k) of
+    x (y z) is x g_k(y) (g_k g_l)(z), so the two are equal at k = i and
+    g_l = g_i^-1 g_j.  The deviation is the largest distance between
+    paired values; it is inf unless the pairing is a bijection."""
     mul, inv = space.group._table
     n, m = space.n, len(x)
-    xy, a, s = _witnessed(space, _raw_product(space, x, y).reshape(-1, 4))
-    yz, b, t = _witnessed(space, _raw_product(space, y, z).reshape(-1, 4))
-    a, s, b, t = (v.reshape(m, n) for v in (a, s, b, t))
-    left = _raw_product(space, xy, np.repeat(z, n, axis=0)).reshape(m, n, n, 4)
+    xy = _raw_product(space, x, y).reshape(-1, 4)
+    yz = _raw_product(space, y, z).reshape(-1, 4)
+    left = _raw_product(space, xy, np.repeat(z, n, axis=0)).reshape(m, n * n, 4)
     right = _raw_product(space, np.repeat(x, n, axis=0), yz).reshape(m, n * n, 4)
-
-    # For each trial and each (i, j): l, then k, as above, and the row
-    # l * n + k of the values of x (y z) that pairs with (i, j).
-    trial = np.arange(m)[:, None, None]
+    # row l * n + k of x (y z) for each row i * n + j of (x y) z
     i = np.arange(n)[:, None]
-    l = mul[inv[i], mul[inv[a]]]
-    k = mul[i, inv[b[trial, l]]]
-    pair = (l * n + k).reshape(m, n * n)
-    act = space._act_stack.reshape(n, 4, 4)
-    moved = right[np.arange(m)[:, None], pair].reshape(m, n, n, 4)
-    moved = moved @ act[a].transpose(0, 1, 3, 2)
-    # s and t hold where a witness negates, so s_i t_l is -1 where one does
-    sign = np.where(s[:, :, None] ^ t[trial, l], -1.0, 1.0)
-    diffs = left - sign[..., None] * moved
-    dev = np.sqrt(np.einsum("tijc,tijc->tij", diffs, diffs)).max(axis=(1, 2))
-    return np.where(_permutations(pair), dev, np.inf)
+    pair = (mul[inv[i], np.arange(n)] * n + i).ravel()
+    diffs = left - right[:, pair]
+    dev = np.sqrt(np.einsum("tvc,tvc->tv", diffs, diffs)).max(axis=1)
+    return np.where(_permutations(pair[None]), dev, np.inf)
 
 
-def _witnessed_well_defined(
-    space: CosetSpace,
-    want: np.ndarray,
-    got: np.ndarray,
-    moves: np.ndarray,
-    tol: float,
+def _paired_well_defined(
+    space: CosetSpace, want: np.ndarray, got: np.ndarray, moves: np.ndarray
 ) -> np.ndarray:
-    """Deviation between the (m, n, 4) canonical product values `want` of
-    pairs (p, q) and `got` of the moved pairs (a(p), b(q)), on a space
-    whose group has its tables, where row t of the (m, 2) array `moves`
-    holds the indices of a and b.  The j-th moved value a(p) g_j(b(q)) is
-    a(p g_i(q)) with g_i = a^-1 g_j b, an image of the i-th value, so the
-    two are paired, and compared by `_pair_distances` as in `_match`; the
-    deviation is inf unless the pairing is a bijection."""
+    """Deviation between the (m, n, 4) raw product values `want` of pairs
+    (p, q) and `got` of the moved pairs (s a(p), t b(q)), on a space whose
+    group has its tables, where row r of the (m, 2) array `moves` holds the
+    indices into `canon_images` of the maps s a and t b: the element modulo
+    n, and a lift sign s or t of -1 from n on.  The j-th moved value
+    s t a(p) g_j(b(q)) is s t a(p g_i(q)) with g_i = a^-1 g_j b, so it is
+    paired with that image of the i-th value; the deviation is inf unless
+    the pairing is a bijection."""
     mul, inv = space.group._table
-    m = len(want)
-    index = mul[mul[inv[moves[:, :1]], np.arange(space.n)], moves[:, 1:]]
-    dist = _pair_distances(space, want[np.arange(m)[:, None], index], got, tol)
-    return np.where(_permutations(index), dist.max(axis=1), np.inf)
+    n, m = space.n, len(want)
+    a, b = (moves % n).T
+    index = mul[mul[inv[a][:, None], np.arange(n)], b[:, None]]
+    act = space._act_stack.reshape(n, 4, 4)
+    moved = want[np.arange(m)[:, None], index] @ act[a].transpose(0, 2, 1)
+    # s t is -1 where exactly one of the two maps negates
+    sign = np.where((moves[:, 0] >= n) ^ (moves[:, 1] >= n), -1.0, 1.0)
+    diffs = got - sign[:, None, None] * moved
+    dev = np.sqrt(np.einsum("tjc,tjc->tj", diffs, diffs)).max(axis=1)
+    return np.where(_permutations(index), dev, np.inf)
 
 
-def _unwitnessed(
+def _matched(
     space: CosetSpace, left: np.ndarray, right: np.ndarray, tol: float
 ) -> np.ndarray:
     """Deviation between the multisets of the raw values in each trial of
@@ -260,8 +250,8 @@ def check_associativity(
     tol: float = TOL_AXIOM,
 ) -> AxiomReport:
     """(x y) z and x (y z), each an n^2-element multiset, must agree.  On a
-    group with its tables the values are paired by their witnesses.  On a
-    set that is not closed, such as a corrupted copy, the n^2 values of
+    group with its tables the raw values are paired through the table.  On
+    a set that is not closed, such as a corrupted copy, the n^2 values of
     each side are formed from the canonical values of x y and y z; a
     trial whose sorted real parts differ by more than tol fails on that
     gap, and only the others are canonicalized and matched."""
@@ -274,12 +264,12 @@ def check_associativity(
         points = _sample(space, rng, 3 * count).reshape(count, 3, 4)
         x, y, z = points.transpose(1, 0, 2)
         if closed:
-            return _witnessed_associativity(space, x, y, z)
+            return _paired_associativity(space, x, y, z)
         # The values of x y and y z stay canonical: on a set that is not
         # closed, the n^2 values depend on the representatives they start from.
         left = _raw_product(space, _product(space, x, y), np.repeat(z, n, axis=0))
         right = _raw_product(space, np.repeat(x, n, axis=0), _product(space, y, z))
-        return _unwitnessed(
+        return _matched(
             space, left.reshape(count, n * n, 4), right.reshape(count, n * n, 4), tol
         )
 
@@ -292,10 +282,11 @@ def check_well_defined(
     space: CosetSpace, samples: int = 100, seed: int = 0, tol: float = TOL_AXIOM
 ) -> AxiomReport:
     """The product multiset must not depend on which representatives of the
-    two classes it is computed from.  The values are paired by the moves
-    on a group with its tables.  On a set that is not closed, a trial whose
-    raw values have sorted real parts more than tol apart fails on that
-    gap, and only the others are canonicalized and matched."""
+    two classes it is computed from.  On a group with its tables the raw
+    values are paired through the table and the moves.  On a set that is
+    not closed, a trial whose raw values have sorted real parts more than
+    tol apart fails on that gap, and only the others are canonicalized and
+    matched."""
     n = space.n
     moves = np.random.default_rng([seed, 1])
     closed = space.group._table is not None
@@ -309,14 +300,11 @@ def check_well_defined(
         images = space.canon_images(pairs)
         chosen = moves.integers(images.shape[1], size=(count, 2)).ravel()
         moved = images[np.arange(2 * count), chosen]
-        if closed:
-            want = _product(space, pairs[0::2], pairs[1::2]).reshape(count, n, 4)
-            got = _product(space, moved[0::2], moved[1::2]).reshape(count, n, 4)
-            elements = (chosen % n).reshape(count, 2)
-            return _witnessed_well_defined(space, want, got, elements, tol)
         want = _raw_product(space, pairs[0::2], pairs[1::2])
         got = _raw_product(space, moved[0::2], moved[1::2])
-        return _unwitnessed(space, want, got, tol)
+        if closed:
+            return _paired_well_defined(space, want, got, chosen.reshape(count, 2))
+        return _matched(space, want, got, tol)
 
     return _run_trials(space, "well_defined", samples, seed, tol, 2 * n, block)
 

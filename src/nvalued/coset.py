@@ -20,8 +20,9 @@ are multisets of orbits, one entry per group element:
     product(a, b) = [ class(a * g_i(b)) for each g_i in the group ]
 
 where * is the quaternion product of representatives and g_i(b) is the
-conjugation action.  Multiset equality up to tolerance is what the axiom
-and acceptance checks consume.
+conjugation action.  Multiset equality up to tolerance is what the
+acceptance checks and the axiom checks of a set that is not closed
+consume; on a group, the axiom checks pair raw values through its table.
 
 Internally representatives are rows of (m, 4) arrays: canonicalization,
 the product and the orbit distance each run once over a whole batch.
@@ -225,49 +226,32 @@ def _canonical(space: CosetSpace, points: np.ndarray) -> np.ndarray:
     are points of the same orbit, so orbit distance and multiset matching
     absorb the jump.
     """
-    return _witnessed(space, points)[0]
-
-
-def _witnessed(
-    space: CosetSpace, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_canonical` with its witness: (reps, elements, negated), where row
-    t of reps is g(q), negated where negated[t] holds, for g the group
-    element of index elements[t] and q row t of `points` normalized."""
     if len(points) <= space._block_rows:
         return _canonical_block(space, points)
-    parts = [_canonical_block(space, points[b]) for b in _blocks(space, len(points))]
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    return np.concatenate(
+        [_canonical_block(space, points[b]) for b in _blocks(space, len(points))]
+    )
 
 
-def _canonical_block(
-    space: CosetSpace, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _canonical_block(space: CosetSpace, points: np.ndarray) -> np.ndarray:
     # Every image shares the real part of its point, which therefore decides
     # nothing on the quaternion base.  On the rotation base it decides the
     # lift sign: the positive one wins by more than EPS_POINT unless
     # |w| <= EPS_POINT / 2, and only those rows compare both signs.
     q = normalized_rows(points)
     m = len(q)
+    both = ()
     if space.base is Base.SO3:
-        negated = q[:, 0] < 0.0
-        np.negative(q, out=q, where=negated[:, None])
+        np.negative(q, out=q, where=q[:, :1] < 0.0)
         both = np.flatnonzero(q[:, 0] <= EPS_POINT / 2)
-    else:
-        negated = np.zeros(m, dtype=bool)
-        both = ()
     images = (q[:, 1:] @ space._rot_cols).reshape(m, 3, -1)
-    elements = _lexmax(images)
-    q[:, 1:] = images[np.arange(m), :, elements]
+    q[:, 1:] = images[np.arange(m), :, _lexmax(images)]
     if len(both):
         w = np.broadcast_to(q[both, :1, None], (len(both), 1, images.shape[2]))
         signed = np.concatenate([w, images[both]], axis=1)
         signed = np.concatenate([signed, -signed], axis=2)
-        pick = _lexmax(signed)
-        q[both] = signed[np.arange(len(both)), :, pick]
-        elements[both] = pick % space.n
-        negated[both] ^= pick >= space.n
-    return q, elements, negated
+        q[both] = signed[np.arange(len(both)), :, _lexmax(signed)]
+    return q
 
 
 def _lexmax(images: np.ndarray) -> np.ndarray:

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from nvalued import axioms, coset
 from nvalued.axioms import (
     AxiomReport,
+    _paired_associativity,
+    _paired_well_defined,
     _run_trials,
     _sample,
-    _witnessed_associativity,
-    _witnessed_well_defined,
     check_associativity,
     check_identity,
     check_inverse,
@@ -28,6 +28,7 @@ from nvalued.coset import (
     Orbit,
     _match,
     _product,
+    _raw_product,
     identity_orbit,
     match_multisets,
     orbit_distance,
@@ -35,7 +36,7 @@ from nvalued.coset import (
     orbit_product,
     random_point,
 )
-from nvalued.quaternion import random_units
+from nvalued.quaternion import conj_matrix, random_units
 from nvalued.rotgroups import GroupSpec, RotationGroup, build_group, catalog
 from nvalued.tolerances import TOL_AXIOM
 
@@ -156,40 +157,58 @@ def reference_run_all(space, samples, triples, seed, tol=TOL_AXIOM, compare=None
 REFERENCE_GROUPS = ["C3", "D2", "T", "O", "I"]
 
 
-def witnessed_reference_associativity(space, triples, seed, tol=TOL_AXIOM):
-    """The associativity report of reference_run_all on a closed group, with
-    each trial's deviation from the witnessed kernel, one trial at a time."""
+def paired_reference_reports(space, samples, triples, seed, tol=TOL_AXIOM):
+    """The associativity and well-definedness reports of reference_run_all
+    on a closed group, with each trial's deviation from the paired kernels,
+    one trial at a time."""
 
-    def trial(rng):
-        x, y, z = (np.array([random_point(space, rng).rep]) for _ in range(3))
-        return _witnessed_associativity(space, x, y, z)[0]
+    def point(rng):
+        return np.array([random_point(space, rng).rep])
 
-    return _run_trials(
-        space, "associativity", triples, seed + 2, tol, 1,
-        lambda rng, size: [trial(rng) for _ in range(size)],
-    )
+    def associativity(rng):
+        return _paired_associativity(space, point(rng), point(rng), point(rng))[0]
+
+    moves = np.random.default_rng([seed + 3, 1])
+
+    def well_defined(rng):
+        p, q = point(rng), point(rng)
+        images = space.canon_images(np.concatenate([p, q]))
+        chosen = moves.integers(images.shape[1], size=2)
+        moved = images[[0, 1], chosen]
+        want, got = _raw_product(space, p, q), _raw_product(space, *moved[:, None])
+        return _paired_well_defined(space, want, got, chosen[None])[0]
+
+    return [
+        _run_trials(
+            space, axiom, count, seed + k, tol, 1,
+            lambda rng, size, fn=fn: [fn(rng) for _ in range(size)],
+        )
+        for k, axiom, count, fn in [
+            (2, "associativity", triples, associativity),
+            (3, "well_defined", max(1, samples // 2), well_defined),
+        ]
+    ]
 
 
 def assert_matches_reference(space, samples=12, triples=3, seed=0):
     # Trials and failures are compared with the public functions.  On a
-    # closed group, associativity measures the raw values that the
-    # witnesses pair, and match_multisets the sorted canonical ones, so the
-    # deviation there is compared with the witnessed kernel instead.  On a
-    # set without tables, a trial whose real parts are over tol apart
-    # reports that gap, so the deviations are compared with gap_or_match.
+    # closed group, associativity and well-definedness measure the raw
+    # values that the table pairs, and match_multisets the sorted
+    # canonical ones, so the deviations there are compared with the paired
+    # kernels, one trial at a time, instead.  On a set without tables, a
+    # trial whose real parts are over tol apart reports that gap, so the
+    # deviations are compared with gap_or_match.
     got = run_all(space, samples=samples, triples=triples, seed=seed)
     want = reference_run_all(space, samples, triples, seed)
-    closed = space.group._table is not None
-    if closed:
-        want_dev = want
+    if space.group._table is not None:
+        want_dev = want[:2] + paired_reference_reports(space, samples, triples, seed)
     else:
         want_dev = reference_run_all(
             space, samples, triples, seed, compare=gap_or_match
         )
     for g, w, d in zip(got, want, want_dev):
         assert (g.axiom, g.trials, g.failures) == (w.axiom, w.trials, w.failures)
-        if g.axiom == "associativity" and closed:
-            d = witnessed_reference_associativity(space, triples, seed)
+        assert (d.axiom, d.trials, d.failures) == (w.axiom, w.trials, w.failures)
         assert abs(g.max_deviation - d.max_deviation) <= 1e-15, (g, d)
 
 
@@ -323,6 +342,21 @@ def test_a_control_associativity_check_canonicalizes_fewer_than_n_squared_rows(
     report = check_associativity(space, triples=2, seed=0)
     assert report.failures == 2
     assert 0 < sum(rows) < space.n ** 2
+
+
+def test_identity_catches_a_canonicalization_that_leaves_the_orbit(monkeypatch):
+    # The paired kernels canonicalize only the samples, so the identity
+    # check guards canonicalization: it measures each of its 2n canonical
+    # values by orbit distance to x.  A kernel that turns its output by a
+    # small rotation outside the group moves the values off that orbit.
+    half = 1e-3 / 2
+    axis = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    turn = conj_matrix(np.array([[math.cos(half), *(math.sin(half) * axis)]]))[0]
+    block = coset._canonical_block
+    monkeypatch.setattr(coset, "_canonical_block", lambda s, p: block(s, p) @ turn.T)
+    reports = {r.axiom: r for r in run_all(make_space("T", "so3"), samples=20)}
+    assert not reports["identity"].passed, reports["identity"]
+    assert reports["identity"].max_deviation > 1e-4
 
 
 def test_corrupted_copy_differs_in_one_element():
@@ -478,15 +512,17 @@ CATALOG_SPACES = [(s.label, base) for s in catalog() for base in ("sp1", "so3")]
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_witnessed_pairing_is_exact_up_to_rounding(label, base, seed):
+    # The table pairs raw values, so both kernels measure rounding alone.
     # A pairing that is no bijection reads inf, so a bound on every
     # deviation also says that each trial was paired one to one.
     space = make_space(label, base)
     rng = np.random.default_rng(seed)
     x, y, z = random_units(rng, 9).reshape(3, 3, 4)
-    assert _witnessed_associativity(space, x, y, z).max() <= 1e-12
-    moves = rng.integers(space.n, size=(3, 2))
-    act = space._act_stack.reshape(-1, 4, 4)
-    moved = [np.einsum("tij,tj->ti", act[moves[:, k]], p) for k, p in enumerate((x, y))]
-    want = _product(space, x, y).reshape(3, space.n, 4)
-    got = _product(space, *moved).reshape(3, space.n, 4)
-    assert _witnessed_well_defined(space, want, got, moves, 1e-12).max() <= 1e-12
+    assert _paired_associativity(space, x, y, z).max() <= 1e-12
+    # moves over every map that canon_images sweeps: on so3, lift signs too
+    images = [space.canon_images(p) for p in (x, y)]
+    moves = rng.integers(images[0].shape[1], size=(3, 2))
+    moved = [im[np.arange(3), c] for im, c in zip(images, moves.T)]
+    want = _raw_product(space, x, y)
+    got = _raw_product(space, *moved)
+    assert _paired_well_defined(space, want, got, moves).max() <= 1e-12

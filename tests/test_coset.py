@@ -120,6 +120,13 @@ def reference_canonical(space, point):
     return survivors[np.lexsort(survivors.T[::-1])[-1]]
 
 
+def nearest_image(space, points, reps):
+    """Distance from each row of `reps` to the nearest image of the same
+    row of `points`, normalized, under the maps that canon_images sweeps."""
+    images = space.canon_images(normalized_rows(points))
+    return np.linalg.norm(images - reps[:, None], axis=2).min(axis=1)
+
+
 def reps(orbits):
     return np.array([o.rep for o in orbits])
 
@@ -182,11 +189,9 @@ class TestProject:
         blocks = coset._blocks(s, m)
         assert [i for b in blocks for i in range(m)[b]] == list(range(m))
         assert max(b.stop - b.start for b in blocks) <= s._block_rows
-        one = coset._canonical_block(s, points)
-        assert np.array_equal(_canonical(s, points), one[0])
-        # the witnesses (element indices, lift signs) too
-        for blocked, whole in zip(coset._witnessed(s, points), one):
-            assert np.array_equal(blocked, whole)
+        blocked = _canonical(s, points)
+        assert np.array_equal(blocked, coset._canonical_block(s, points))
+        assert nearest_image(s, points, blocked).max() <= 1e-15
 
     def test_identity_orbit_rep_is_one(self):
         for label, base in SMALL_SPACES:
@@ -352,24 +357,19 @@ class TestLexmax:
         fold = q[:, 0] < 0.0
         q[fold] = -q[fold]
         images = (q[:, 1:] @ s._rot_cols).reshape(len(q), 3, s.n)
-        want = (np.empty_like(q), np.empty(len(q), dtype=int), fold.copy())
+        want = np.empty_like(q)
         for t in range(len(q)):
             stack = images[t]
             if q[t, 0] <= E / 2:
                 stack = np.concatenate([np.full((1, s.n), q[t, 0]), stack])
                 stack = np.concatenate([stack, -stack], axis=1)
             (pick,) = reference_lexmax(stack[None])
-            want[0][t, 0] = q[t, 0]
-            want[0][t, -len(stack):] = stack[:, pick]
-            want[1][t] = pick % s.n
-            want[2][t] ^= pick >= s.n
+            want[t, 0] = q[t, 0]
+            want[t, -len(stack):] = stack[:, pick]
         assert (np.abs(q[:, 0]) <= E / 2).sum() >= 4 * len(vectors)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-        # the witness: rep = s g(q) for g the element, s the lift sign
-        signs = np.where(got[2], -1.0, 1.0)[:, None]
-        moved = s.act_images(normalized_rows(points))[np.arange(len(q)), got[1]]
-        assert np.abs(signs * moved - got[0]).max() <= 1e-15
+        assert np.array_equal(got, want)
+        # each representative is an image of its point, lift signs included
+        assert nearest_image(s, points, got).max() <= 1e-15
 
 
 def test_rep_jump_at_the_slack_boundary_is_absorbed_by_matching():

@@ -8,13 +8,11 @@ printed digits moved with the closed form (to the correctly rounded one).
 The `mul` digests date from the grouping that measured every pair of
 values; grouping measures only values of nearly equal |w| now.
 The `verify` digests pin the sampled points, drawn from numpy Generators,
-so that a change to the random stream is a visible, deliberate one.  The
-`verify C2` digest dates from associativity pairing its values by their
-canonicalization witnesses, which moved only its `max_deviation` values.
-The `--all` digest dates from the canonicalization kernel becoming the
-only step that normalizes a point: the inverse check no longer normalizes
-the conjugates before the kernel does, which moved the last bits of two
-inverse `max_deviation` values.
+so that a change to the random stream is a visible, deliberate one.  Both
+date from associativity and well-definedness pairing the raw product
+values of a closed group through its table, which moved only the
+`max_deviation` values of those two checks: every trial and failure
+count, and every identity and inverse report, held byte for byte.
 The rows of the negative-control groups are pinned the same way: those
 rows decide every catch count of the controls.
 """
@@ -86,10 +84,10 @@ MUL_DIGESTS = {
 # A reduced `verify --all` sweep, and the README's `verify C2` example.
 VERIFY_DIGESTS = {
     "--all --json --seed 0 --samples 10 --triples 1": (
-        "79f390b8fd6e7f5382eaa2ba1bef4f5d40fc6ff64dc818234bfbfae70747f1e0"
+        "a0645e56efeea1bd9078581d858f93ca0e6998e2b3b870352602b601b598caa8"
     ),
     "C2 --base so3 --samples 50 --triples 10": (
-        "557832061b010d6be9520d3c9b087f07080cfce7999acf772a524a34cec611d3"
+        "1fa31110ea7475cc1a767cc37f0a04eefec2d6a3dbd1e0428cf07fe9add0ad40"
     ),
 }
 

@@ -6,9 +6,11 @@ Identity, inverse and associativity through the public functions at
 axis points with real part 0 and +-0.6, the poles +-1, and points 1e-10 to
 1e-6 off an axis.  Ties between images are exact there, which is where a
 canonicalization or a matching could go wrong.  Associativity is checked
-twice: by the generic matching of `match_multisets`, and by the pairing
-through canonicalization witnesses that the associativity check runs.
-Well-definedness is checked by that pairing, as its check runs it.
+twice: by the generic matching of `match_multisets`, and by the pairing of
+raw values through the group table that the associativity check runs.
+Well-definedness is checked by that pairing, as its check runs it.  The
+pairing compares values that are equal in exact arithmetic, so it is held
+to a rounding-level budget of 1e-12.
 """
 
 import math
@@ -16,9 +18,9 @@ import math
 import numpy as np
 import pytest
 
-from nvalued.axioms import _witnessed_associativity, _witnessed_well_defined
+from nvalued.axioms import _paired_associativity, _paired_well_defined
 from nvalued.coset import (
-    _product,
+    _raw_product,
     identity_orbit,
     match_multisets,
     orbit_distance,
@@ -85,8 +87,8 @@ def test_inverse_on_the_singular_set(label, base):
 
 # Consecutive singular points (x, y, z) = points[i], points[i + 1],
 # points[i + 2], wrapping around the list, by the index i.  The generic
-# matching gets these ones wrong (ROADMAP open item 3); the witnessed
-# pairing passes them all:
+# matching gets these ones wrong (ROADMAP open item 3); the pairing through
+# the group table passes them all:
 # - on I, i = 6 and 10 (one axis at real part +-0.6: on it, 1e-10 and 1e-8
 #   off it) are true matches, every orbit distance under 1e-15, that the
 #   sorted-column rejection of coset._match turns down;
@@ -134,7 +136,7 @@ def test_witnessed_associativity_on_the_singular_set(label, base):
     space, points = space_and_points(label, base)
     reps = np.array([p.rep for p in points])
     x, y, z = (np.roll(reps, -shift, axis=0) for shift in range(3))
-    deviations = _witnessed_associativity(space, x, y, z)
+    deviations = _paired_associativity(space, x, y, z)
     assert deviations.max() <= 1e-12, np.flatnonzero(~(deviations <= 1e-12))
 
 
@@ -142,19 +144,17 @@ def test_witnessed_associativity_on_the_singular_set(label, base):
 def test_witnessed_well_definedness_on_the_singular_set(label, base):
     # every consecutive pair (p, q), moved to (a(p), b(q)) by maps that
     # canon_images sweeps, lift signs included, drawn from a seeded stream;
-    # near-coincident images can swap across the EPS_POINT slack, so the
-    # budget is acceptance criterion 3's matched-pair bound, not rounding
+    # the raw values are paired, so the budget is rounding, as above
     space, points = space_and_points(label, base)
-    n = space.n
     p = np.array([o.rep for o in points])
     q = np.roll(p, -1, axis=0)
-    want = _product(space, p, q).reshape(len(p), n, 4)
+    want = _raw_product(space, p, q)
     images = space.canon_images(p), space.canon_images(q)
     rows = np.arange(len(p))
     rng = np.random.default_rng(0)
     for _ in range(4):
         chosen = rng.integers(images[0].shape[1], size=(len(p), 2))
         moved = [im[rows, c] for im, c in zip(images, chosen.T)]
-        got = _product(space, *moved).reshape(len(p), n, 4)
-        deviations = _witnessed_well_defined(space, want, got, chosen % n, TOL_AXIOM)
-        assert deviations.max() <= 1e-8, np.flatnonzero(~(deviations <= 1e-8))
+        got = _raw_product(space, *moved)
+        deviations = _paired_well_defined(space, want, got, chosen)
+        assert deviations.max() <= 1e-12, np.flatnonzero(~(deviations <= 1e-12))
