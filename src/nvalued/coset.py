@@ -302,21 +302,6 @@ def _distances(
     )
 
 
-def _pair_distances(
-    space: CosetSpace, a: np.ndarray, b: np.ndarray, tol: float
-) -> np.ndarray:
-    """Distance between each row of `a` and the same row of `b`, two
-    (..., 4) arrays of one shape, as close as deciding a match within `tol`
-    needs: the plain distance bounds the orbit distance from above, so only
-    the rows it leaves over `tol` get the orbit distance."""
-    diffs = a - b
-    dist = np.sqrt(np.einsum("...c,...c->...", diffs, diffs))
-    far = dist > tol
-    if far.any():
-        dist[far] = _distances(space, a[far], b[far])
-    return dist
-
-
 def _distances_to_identity(space: CosetSpace, values: np.ndarray) -> np.ndarray:
     """Orbit distance from the identity class to the orbit of each row of
     `values`, without a sweep: every conjugation fixes 1 and -1, so it is
@@ -425,9 +410,12 @@ def match_multisets(a, b, tol: float) -> tuple[bool, float]:
     representatives are within tol is matched, since the orbit distance is
     at most their distance; only the other pairs are checked with the orbit
     distance.  If positional pairing fails, fall back to an optimal
-    assignment on the full orbit-distance matrix.  A cheap sound rejection
-    runs first: sorted per-coordinate values of the two rep sets must agree
-    within tol, since any true matching permutes them.
+    assignment on the full orbit-distance matrix.  A cheap rejection runs
+    first: the sorted per-coordinate values of the two rep sets must agree
+    within 2 tol.  It is not sound: two representatives of one orbit can
+    differ by far more across the EPS_POINT slack of canonicalization, so
+    it can reject multisets that match (tests/test_axioms.py pins such
+    cases on the negative controls).
 
     Raises SizeMismatch for multisets of different sizes and ValueError
     for orbits of different spaces.
@@ -449,14 +437,20 @@ def _match(
     representatives."""
     gap = float(np.abs(np.sort(ra, axis=0) - np.sort(rb, axis=0)).max())
     if not gap <= 2.0 * tol:
-        # Sound rejection: a genuine matching within tol moves every
-        # coordinate by at most tol, so sorted columns differ by <= 2 tol.
-        # A NaN representative is rejected here too.
+        # Column test: representatives paired within tol have sorted
+        # columns within 2 tol.  It is not sound, since two representatives
+        # of one orbit can differ by far more across the EPS_POINT slack of
+        # canonicalization.  A NaN representative is rejected here too.
         return False, gap
 
-    pair = _pair_distances(
-        space, ra[_rounded_order(ra)], rb[_rounded_order(rb)], tol
-    )
+    # The plain distance bounds the orbit distance from above, so only the
+    # pairs it leaves over tol get the orbit distance.
+    a, b = ra[_rounded_order(ra)], rb[_rounded_order(rb)]
+    diffs = a - b
+    pair = np.sqrt(np.einsum("...c,...c->...", diffs, diffs))
+    far = pair > tol
+    if far.any():
+        pair[far] = _distances(space, a[far], b[far])
     if not (pair > tol).any():
         return True, float(pair.max())
 

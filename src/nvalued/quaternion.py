@@ -1,15 +1,17 @@
 """Quaternions, the unit 3-sphere, and its double cover of SO(3).
 
 The value types are `Quaternion`, an immutable 4-tuple w + x*i + y*j + z*k,
-and `Vec3`, a point of R^3.  Arithmetic runs on (m, 4) arrays through the
-kernels `left_matrix`, `right_matrix`, `conj_matrix` (p -> q p q*: on
-imaginary p, the rotation covered by q and -q), `normalized_rows`, `random_units`.
+and `Vec3`, a point of R^3 with no arithmetic of its own.  Arithmetic runs
+on (m, 4) arrays through the kernels `left_matrix`, `right_matrix`,
+`conj_matrix` (p -> q p q*: on imaginary p, the rotation covered by q and
+-q), `normalized_rows`, `random_units`, and `canonical_sign`, which folds
+rows.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,28 +24,6 @@ class Vec3(NamedTuple):
     x: float
     y: float
     z: float
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    def normalized(self) -> "Vec3":
-        n = self.norm()
-        if n < 1e-8:
-            raise ValueError("cannot normalize a near-zero vector")
-        return Vec3(self.x / n, self.y / n, self.z / n)
-
-    def dot(self, other: "Vec3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-
-    def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
 
 
 class Quaternion(NamedTuple):
@@ -76,47 +56,20 @@ QJ = Quaternion(0.0, 0.0, 1.0, 0.0)
 QK = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def canonical_sign(q):
-    """Fold q and -q onto one representative of the rotation they cover.
-
-    The first coordinate of magnitude above EPS_POINT is made positive;
-    this is the lexicographically larger of the two lifts.  Also takes an
-    (m, 4) array of quaternions and folds every row.
-    """
-    if isinstance(q, np.ndarray):
-        big = np.abs(q) > EPS_POINT
-        lead = q[np.arange(len(q)), big.argmax(axis=1)]
-        return np.where((big.any(axis=1) & (lead < 0))[:, None], -q, q)
-    for c in q:
-        if abs(c) > EPS_POINT:
-            return q if c > 0 else -q
-    return q
+def canonical_sign(q: np.ndarray) -> np.ndarray:
+    """Fold each row of an (m, k) array onto one of the two signs q and -q:
+    the first coordinate of magnitude above EPS_POINT is made positive.  On
+    quaternion rows this is the lexicographically larger of the two lifts
+    of the rotation they cover."""
+    big = np.abs(q) > EPS_POINT
+    lead = q[np.arange(len(q)), big.argmax(axis=1)]
+    return np.where((big.any(axis=1) & (lead < 0))[:, None], -q, q)
 
 
 def rounded_key(v) -> tuple[float, ...]:
     """Sort key for points and quaternions: coordinates rounded to 12
     decimals, so that drift below the rounding cannot reorder them."""
     return tuple(round(c, 12) + 0.0 for c in v)
-
-
-def rotation_of(q: Quaternion) -> tuple[Optional[Vec3], float]:
-    """Axis and angle of the rotation that conjugation by q induces.
-
-    The angle lies in [0, 2*pi).  The unit axis is folded by
-    canonical_sign, and the angle flips to 2*pi - angle when the fold
-    negates the raw axis.  The identity rotation returns (None, 0.0) since
-    its axis is undefined.
-    """
-    w, x, y, z = q
-    if w < 0.0:
-        w, x, y, z = -w, -x, -y, -z
-    s = math.sqrt(x * x + y * y + z * z)
-    if s <= EPS_POINT:
-        return None, 0.0
-    angle = 2.0 * math.atan2(s, w)
-    raw = Vec3(x / s, y / s, z / s)
-    axis = canonical_sign(raw)
-    return axis, angle if axis is raw else 2.0 * math.pi - angle
 
 
 def random_units(rng: np.random.Generator, m: int) -> np.ndarray:

@@ -28,7 +28,6 @@ from .quaternion import (
     canonical_sign,
     conj_matrix,
     random_units,
-    rotation_of,
     rounded_key,
 )
 from .rotgroups import (
@@ -69,38 +68,36 @@ class AntipodalSolutions:
         """32 evenly spaced solutions on the circle."""
         if not self.solvable or self.axis is None:
             raise ValueError("the equation has no solutions for this rotation")
-        a = self.axis
-        seed = Vec3(1.0, 0.0, 0.0) if abs(a.x) < 0.9 else Vec3(0.0, 1.0, 0.0)
-        u = Vec3(*(s - a.dot(seed) * c for s, c in zip(seed, a))).normalized()
-        v = a.cross(u)
-        out = []
-        for k in range(32):
-            t = 2.0 * math.pi * k / 32
-            c, s = math.cos(t), math.sin(t)
-            out.append(
-                Quaternion(0.0, c * u.x + s * v.x, c * u.y + s * v.y, c * u.z + s * v.z)
-            )
-        return out
+        a = np.array(self.axis)
+        seed = np.array([1.0, 0.0, 0.0] if abs(a[0]) < 0.9 else [0.0, 1.0, 0.0])
+        u = seed - (a @ seed) * a
+        u /= np.linalg.norm(u)
+        t = 2.0 * math.pi * np.arange(32) / 32
+        points = np.cos(t)[:, None] * u + np.sin(t)[:, None] * np.cross(a, u)
+        return [Quaternion(0.0, *p) for p in points.tolist()]
 
 
 def solve_antipodal(q: Quaternion) -> AntipodalSolutions:
     """Decide solvability of q x q^-1 = -x in unit imaginary quaternions.
 
-    A solution must be imaginary (the real part would flip sign) and the
-    conjugation rotates the imaginary space by the rotation angle of q, so
-    a solution exists exactly for rotation angle pi: the half-turn case.
+    A solution must be imaginary (the real part would flip sign), and the
+    conjugation turns the imaginary space by 2 atan2(|v|, |w|) about v/|v|
+    for q = (w, v), so a solution exists exactly for the half-turn: angle
+    pi, i.e. w = 0, up to EPS_POINT.  The axis is folded by canonical_sign.
     """
-    axis, angle = rotation_of(q)
-    if axis is not None and abs(angle - math.pi) <= EPS_POINT:
-        return AntipodalSolutions(solvable=True, axis=axis)
-    return AntipodalSolutions(solvable=False, axis=None)
+    w, x, y, z = q
+    s = math.sqrt(x * x + y * y + z * z)
+    if s <= EPS_POINT or abs(2.0 * math.atan2(s, abs(w)) - math.pi) > EPS_POINT:
+        return AntipodalSolutions(solvable=False, axis=None)
+    axis = canonical_sign(np.array([[x, y, z]]) / s)[0]
+    return AntipodalSolutions(solvable=True, axis=Vec3(*axis.tolist()))
 
 
 def tau_has_fixed_points(group: RotationGroup) -> bool:
     """Whether the involution induced by x -> -x on the quaternion quotient
     has a fixed point: some lift must conjugate some x to -x.  Both lifts
-    of a rotation give the same answer, since rotation_of folds the sign
-    first, so one lift per element decides it."""
+    of a rotation give the same answer, since solve_antipodal decides on
+    |w| and |v| and folds the axis, so one lift per element decides it."""
     return any(solve_antipodal(q).solvable for q in group.elements)
 
 

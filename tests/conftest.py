@@ -1,3 +1,4 @@
+import math
 import os
 from functools import lru_cache
 from pathlib import Path
@@ -8,8 +9,9 @@ from hypothesis import assume, strategies as st
 
 import nvalued
 from nvalued.coset import Base, CosetSpace, _orbits, _product
-from nvalued.quaternion import Quaternion, left_matrix
+from nvalued.quaternion import Quaternion, Vec3, left_matrix
 from nvalued.rotgroups import GroupSpec, RotationGroup, build_group
+from nvalued.tolerances import EPS_POINT
 
 
 # sign and target index of e_i * e_j for basis order (1, i, j, k)
@@ -41,6 +43,33 @@ def qmul_oracle(a, b) -> Quaternion:
 def conj_oracle(q: Quaternion, p) -> Quaternion:
     """The conjugation q p q* as two products of qmul_oracle."""
     return qmul_oracle(qmul_oracle(q, p), q.conjugate())
+
+
+def canonical_sign_oracle(q):
+    """canonical_sign on one quaternion or 3-vector, as a scalar loop:
+    q itself when its first coordinate of magnitude above EPS_POINT is
+    positive (or none is), else q with every coordinate negated."""
+    for c in q:
+        if abs(c) > EPS_POINT:
+            return q if c > 0 else type(q)(*(-c for c in q))
+    return q
+
+
+def rotation_oracle(q) -> tuple:
+    """Axis and angle of the rotation that conjugation by q induces, in
+    scalar arithmetic: the angle lies in [0, 2 pi), and flips to
+    2 pi - angle when canonical_sign_oracle negates the unit axis.  The
+    identity rotation has axis None and angle 0."""
+    w, x, y, z = q
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    s = math.sqrt(x * x + y * y + z * z)
+    if s <= EPS_POINT:
+        return None, 0.0
+    angle = 2.0 * math.atan2(s, w)
+    raw = Vec3(x / s, y / s, z / s)
+    axis = canonical_sign_oracle(raw)
+    return axis, angle if axis is raw else 2.0 * math.pi - angle
 
 
 @lru_cache(maxsize=None)

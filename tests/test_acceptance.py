@@ -19,7 +19,7 @@ from nvalued.axioms import (
     run_all,
 )
 from nvalued.coset import Base, CosetSpace
-from nvalued.quaternion import Quaternion, conj_matrix, rotation_of
+from nvalued.quaternion import Quaternion, conj_matrix
 from nvalued.rotgroups import GroupSpec, build_group, catalog
 from nvalued.topology import (
     check_suspension,
@@ -31,7 +31,7 @@ from nvalued.topology import (
     tau_has_fixed_points,
 )
 
-from .conftest import closure_defect, subprocess_env
+from .conftest import closure_defect, rotation_oracle, subprocess_env
 
 CATALOG_ORDERS = {
     "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6, "C7": 7, "C8": 8,
@@ -147,7 +147,7 @@ def test_criterion_6_antipodal_equation():
     grid = _imaginary_grid(10_000)
     for spec in catalog():
         for q in build_group(spec).cover:
-            _, angle = rotation_of(q)
+            _, angle = rotation_oracle(q)
             sol = solve_antipodal(q)
             conj = np.asarray(conj_matrix(q))
             if sol.solvable:

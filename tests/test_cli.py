@@ -1,9 +1,11 @@
-"""End-to-end CLI behavior through main(); only the import check starts a
-fresh interpreter."""
+"""End-to-end CLI behavior through main().  A fresh interpreter runs only
+the import check, the closed pipe and the README's library snippet."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +199,20 @@ def test_cli_runs_without_importing_scipy():
         env=subprocess_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_readme_library_snippet_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (code,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=subprocess_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the two values as a list of Quaternions, then as a (2, 4) array
+    listed, *array = proc.stdout.splitlines()
+    assert listed.count("Quaternion(") == 2
+    assert len(array) == 2, proc.stdout
 
 
 def test_closed_pipe_exits_without_a_traceback():

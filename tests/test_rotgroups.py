@@ -13,9 +13,7 @@ from nvalued.quaternion import (
     QI,
     QK,
     Quaternion,
-    canonical_sign,
     left_matrix,
-    rotation_of,
 )
 from nvalued.rotgroups import (
     GOLDEN,
@@ -33,7 +31,12 @@ from nvalued.rotgroups import (
 )
 from nvalued.tolerances import EPS_POINT
 
-from .conftest import closure_defect, qmul_oracle
+from .conftest import (
+    canonical_sign_oracle,
+    closure_defect,
+    qmul_oracle,
+    rotation_oracle,
+)
 
 CATALOG_ORDERS = {
     "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6, "C7": 7, "C8": 8,
@@ -182,7 +185,7 @@ class TestElementOrder:
         g = build_group(GroupSpec.parse(label))
         for q in g.elements:
             d = element_order(q, g)
-            axis, angle = rotation_of(q)
+            axis, angle = rotation_oracle(q)
             if axis is None:
                 assert d == 1
                 continue
@@ -194,7 +197,7 @@ def power_chain_order(q, group):
     """The definition: the least d >= 1 with q^d within EPS_POINT of +-1,
     by repeated multiplication."""
     current, d = q, 1
-    while math.dist(canonical_sign(current), ONE) > 1e-9:
+    while math.dist(canonical_sign_oracle(current), ONE) > 1e-9:
         current = qmul_oracle(current, q).normalized()
         d += 1
         assert d <= len(group), "power chain did not return to the identity"
@@ -246,7 +249,8 @@ def loop_has_half_turn(group):
     for i, g in enumerate(group.elements):
         if i == group.identity_index:
             continue
-        if math.dist(canonical_sign(qmul_oracle(g, g).normalized()), ONE) <= EPS_POINT:
+        square = qmul_oracle(g, g).normalized()
+        if math.dist(canonical_sign_oracle(square), ONE) <= EPS_POINT:
             return True
     return False
 

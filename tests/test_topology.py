@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nvalued.axioms import corrupted_copy
 from nvalued.coset import Base
 from nvalued.quaternion import (
     ONE,
@@ -16,6 +17,7 @@ from nvalued.quaternion import (
     random_units,
 )
 from nvalued.rotgroups import GroupSpec, build_group, catalog, has_half_turn
+from nvalued.tolerances import EPS_POINT
 from nvalued.topology import (
     MAX_SAMPLES,
     ConsistencyFailure,
@@ -28,7 +30,7 @@ from nvalued.topology import (
     tau_has_fixed_points,
 )
 
-from .conftest import conj_oracle, qmul_oracle
+from .conftest import conj_oracle, qmul_oracle, rotation_oracle
 
 EXPECTED_SIGNATURES = {
     "C2": (2, 2), "C3": (3, 3), "C4": (4, 4), "C5": (5, 5),
@@ -158,6 +160,34 @@ def test_tau_scan_of_the_elements_agrees_with_the_full_cover(label):
         assert solve_antipodal(-q) == solve_antipodal(q)
     cover_scan = any(solve_antipodal(q).solvable for q in g.cover)
     assert tau_has_fixed_points(g) == cover_scan
+
+
+def test_solve_antipodal_matches_the_scalar_rule():
+    # The rule as the scalar axis-angle form states it: solvable at angle
+    # pi within EPS_POINT, with the folded axis; on every cover lift of the
+    # catalog, C1-C120, D1-D60, C1000 and D500, and of their corrupted
+    # copies at 0.1 and 1e-5 rad.
+    specs = catalog() + [GroupSpec("C", n) for n in range(1, 121)]
+    specs += [GroupSpec("D", n) for n in range(1, 61)]
+    specs += [GroupSpec.parse("C1000"), GroupSpec.parse("D500")]
+    lifts = 0
+    for spec in specs:
+        g = build_group(spec)
+        groups = [g]
+        if len(g) > 1:
+            groups += [corrupted_copy(g, extra_angle=a) for a in (0.1, 1e-5)]
+        for h in groups:
+            any_solvable = False
+            for q in h.cover:
+                axis, angle = rotation_oracle(q)
+                solvable = axis is not None and abs(angle - math.pi) <= EPS_POINT
+                sol = solve_antipodal(q)
+                assert sol.solvable == solvable, (spec.label, q)
+                assert sol.axis == (axis if solvable else None), (spec.label, q)
+                any_solvable |= solvable
+            assert tau_has_fixed_points(h) == any_solvable, spec.label
+            lifts += len(h.cover)
+    assert lifts == 78_556
 
 
 class TestSingularOrbits:
