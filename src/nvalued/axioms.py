@@ -27,7 +27,6 @@ from .coset import (
     _orbits,
     _product,
     _raw_product,
-    _real_part_gap,
     _sample,
     identity_orbit,
     orbit_distance,
@@ -227,22 +226,6 @@ def _paired_well_defined(
     return np.where(_permutations(index), dev, np.inf)
 
 
-def _matched(
-    space: CosetSpace, left: np.ndarray, right: np.ndarray, tol: float
-) -> np.ndarray:
-    """Deviation between the multisets of the raw values in each trial of
-    the (m, k, 4) arrays `left` and `right`, on a set without tables.  A
-    trial whose sorted real parts differ by more than `tol` fails with
-    that gap, a lower bound of its deviation (`_real_part_gap`), and is
-    never canonicalized; the others are canonicalized and matched by
-    `_match`, which the gap test leaves with the same verdict."""
-    dev = _real_part_gap(space, left, right)
-    for t in np.flatnonzero(dev <= tol):
-        a, b = _canonical(space, left[t]), _canonical(space, right[t])
-        dev[t] = _match(space, a, b, tol)[1]
-    return dev
-
-
 def check_associativity(
     space: CosetSpace,
     triples: Optional[int] = None,
@@ -269,7 +252,7 @@ def check_associativity(
         # closed, the n^2 values depend on the representatives they start from.
         left = _raw_product(space, _product(space, x, y), np.repeat(z, n, axis=0))
         right = _raw_product(space, np.repeat(x, n, axis=0), _product(space, y, z))
-        return _matched(
+        return _match(
             space, left.reshape(count, n * n, 4), right.reshape(count, n * n, 4), tol
         )
 
@@ -304,7 +287,7 @@ def check_well_defined(
         got = _raw_product(space, moved[0::2], moved[1::2])
         if closed:
             return _paired_well_defined(space, want, got, chosen.reshape(count, 2))
-        return _matched(space, want, got, tol)
+        return _match(space, want, got, tol)
 
     return _run_trials(space, "well_defined", samples, seed, tol, 2 * n, block)
 

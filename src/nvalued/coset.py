@@ -67,6 +67,10 @@ class Base(Enum):
 # images under the acting maps, so that its temporaries stay in cache.
 SWEEP_BLOCK = 1 << 16
 
+# Matching canonicalizes kept trials in sweeps of at most this many images:
+# one sweep of them all made the time of later checks vary with the heap.
+_MATCH_SWEEP = 1 << 12
+
 _ONE_ROW = np.array(tuple(ONE))
 
 
@@ -294,6 +298,8 @@ def _distances(
     """Orbit distance from each row of `points` (or from one point, a
     (4,) array) to the orbit of the same row of `values`, swept in blocks."""
     points = np.broadcast_to(points, values.shape)
+    if len(values) <= space._block_rows:
+        return _nearest(points, space.canon_images(values))
     return np.concatenate(
         [
             _nearest(points[b], space.canon_images(values[b]))
@@ -381,14 +387,15 @@ def identity_orbit(space: CosetSpace) -> Orbit:
 
 
 def _rounded_order(reps: np.ndarray) -> np.ndarray:
-    # Rows sorted lexicographically on 12-decimal rounding, stable, so that
-    # drift below the rounding does not reorder canonical representatives.
-    return np.lexsort(np.round(reps, 12).T[::-1])
+    """The order of the rows of each trial of a (t, m, 4) stack, sorted
+    lexicographically on 12-decimal rounding, stable, so that drift below
+    the rounding does not reorder canonical representatives; shape (t, m)."""
+    return np.lexsort(np.round(reps, 12).transpose(2, 0, 1)[::-1], axis=-1)
 
 
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """scipy's optimal assignment, imported on first use: only the rare
-    fallback in `match_multisets` needs it, so importing nvalued does not
+    """scipy's optimal assignment, imported on first use: only a failed
+    positional pair in `_match` needs it, so importing nvalued does not
     pay for scipy."""
     from scipy.optimize import linear_sum_assignment as solve
 
@@ -397,25 +404,10 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def match_multisets(a, b, tol: float) -> tuple[bool, float]:
     """Decide multiset equality of two sequences of orbits (`Orbits` or
-    lists) up to `tol`.
+    lists) up to `tol`: `_match` on a one-trial stack.
 
-    Returns (matched, deviation).  When matched, deviation is the largest
-    distance inside any matched pair: the distance between the two
-    representatives for a pair within tol, the orbit distance for the
-    others; when not matched, it is the best bound the failed strategy
-    produced (finite unless a representative is not).
-
-    Strategy: sort both by the rounded representative and pair positionally
-    (the common case, since representatives are canonical).  A pair whose
-    representatives are within tol is matched, since the orbit distance is
-    at most their distance; only the other pairs are checked with the orbit
-    distance.  If positional pairing fails, fall back to an optimal
-    assignment on the full orbit-distance matrix.  A cheap rejection runs
-    first: the sorted per-coordinate values of the two rep sets must agree
-    within 2 tol.  It is not sound: two representatives of one orbit can
-    differ by far more across the EPS_POINT slack of canonicalization, so
-    it can reject multisets that match (tests/test_axioms.py pins such
-    cases on the negative controls).
+    Returns (matched, deviation), matched exactly when the deviation is at
+    most tol; see `_match` for what the deviation measures.
 
     Raises SizeMismatch for multisets of different sizes and ValueError
     for orbits of different spaces.
@@ -427,40 +419,77 @@ def match_multisets(a, b, tol: float) -> tuple[bool, float]:
     space, ra = _rows(a)
     other, rb = _rows(b)
     _check_space(space, (other,))
-    return _match(space, ra, rb, tol)
+    dev = float(_match(space, ra[None], rb[None], tol)[0])
+    return dev <= tol, dev
 
 
-def _match(
-    space: CosetSpace, ra: np.ndarray, rb: np.ndarray, tol: float
-) -> tuple[bool, float]:
-    """match_multisets on two non-empty (m, 4) arrays of canonical
-    representatives."""
-    gap = float(np.abs(np.sort(ra, axis=0) - np.sort(rb, axis=0)).max())
-    if not gap <= 2.0 * tol:
-        # Column test: representatives paired within tol have sorted
-        # columns within 2 tol.  It is not sound, since two representatives
-        # of one orbit can differ by far more across the EPS_POINT slack of
-        # canonicalization.  A NaN representative is rejected here too.
-        return False, gap
+def _match(space: CosetSpace, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Deviation between the multisets of orbits of the rows of each trial
+    of two (t, m, 4) stacks of values, raw or canonical; shape (t,).  The
+    two multisets of a trial match within tol exactly when it is at most
+    tol, and then it is the largest distance inside a matched pair.
 
-    # The plain distance bounds the orbit distance from above, so only the
-    # pairs it leaves over tol get the orbit distance.
-    a, b = ra[_rounded_order(ra)], rb[_rounded_order(rb)]
-    diffs = a - b
+    Every image in an orbit keeps w, or w up to sign on the rotation base,
+    so the orbit distance between two points is at least the gap between
+    their real parts (`_real_parts`).  Hence:
+
+    - A trial whose sorted real parts differ by more than tol has no
+      matching within tol; it fails with that gap, a lower bound of any
+      matching's deviation, and is never canonicalized.  A non-finite
+      value gives a NaN gap.
+    - The other trials are canonicalized (in sweeps of at most
+      `_MATCH_SWEEP` images), sorted by their rounded representatives
+      (`_rounded_order`) and paired positionally.  A pair within tol by
+      plain distance is matched, since that bounds the orbit distance from
+      above; only the other pairs get the orbit distance.
+    - A matching within tol never pairs across a cut: a position where
+      every real part after it, on either side, is more than tol above
+      every real part before it.  So a pair over tol is reassigned only
+      within its run between two cuts, by an optimal assignment on that
+      run's orbit distances.  A pair over tol alone in its run fails the
+      trial, with the positional deviation.
+    """
+    # Sorted as made, so only the sorted copies live on; `w` takes them again.
+    wa = np.sort(_real_parts(space, a), axis=1)
+    wb = np.sort(_real_parts(space, b), axis=1)
+    dev = np.abs(wa - wb).max(axis=1)
+    keep = np.flatnonzero(dev <= tol)
+    if not len(keep):
+        return dev
+    t, m = len(keep), a.shape[1]
+    sides = np.concatenate([a[keep], b[keep]])
+    rows, count = sides.reshape(-1, 4), -(-2 * t * m * space.n // _MATCH_SWEEP)
+    edges = [len(rows) * i // count for i in range(count + 1)]
+    canon = [_canonical(space, rows[s:e]) for s, e in zip(edges, edges[1:])]
+    canon = np.concatenate(canon).reshape(2 * t, m, 4)
+    order = (np.arange(2 * t)[:, None], _rounded_order(canon))
+    ca, cb = canon[order].reshape(2, t, m, 4)
+    w = _real_parts(space, sides)[order].reshape(2, t, m)
+
+    diffs = ca - cb
     pair = np.sqrt(np.einsum("...c,...c->...", diffs, diffs))
     far = pair > tol
     if far.any():
-        pair[far] = _distances(space, a[far], b[far])
-    if not (pair > tol).any():
-        return True, float(pair.max())
-
-    # Positional pairing failed; find the optimal matching.  Distances are
-    # orbit distances, i.e. min over canon images of either side.
-    images_b = space.canon_images(rb)
-    dm = np.stack([_nearest(ra, images) for images in images_b], axis=1)
-    rows, cols = linear_sum_assignment(dm)
-    dev = float(dm[rows, cols].max())
-    return dev <= tol, dev
+        pair[far] = _distances(space, ca[far], cb[far])
+    failed = pair > tol
+    if failed.any():
+        # cut[i, p]: every real part from position p on is more than tol
+        # above every one before it; positions 0 and m always cut.
+        low = np.minimum.accumulate(np.minimum(*w)[:, ::-1], axis=1)[:, ::-1]
+        high = np.maximum.accumulate(np.maximum(*w), axis=1)
+        cut = np.ones((t, m + 1), dtype=bool)
+        cut[:, 1:-1] = low[:, 1:] - high[:, :-1] > tol
+        alone = (failed & cut[:, :-1] & cut[:, 1:]).any(axis=1)
+        for i in np.flatnonzero(failed.any(axis=1) & ~alone):
+            edges = np.flatnonzero(cut[i])
+            for run in (slice(s, e) for s, e in zip(edges, edges[1:])):
+                if failed[i, run].any():
+                    images = space.canon_images(cb[i, run])
+                    dm = np.stack([_nearest(ca[i, run], im) for im in images], axis=1)
+                    rows, cols = linear_sum_assignment(dm)
+                    pair[i, run] = dm[rows, cols]
+    dev[keep] = pair.max(axis=1)
+    return dev
 
 
 def _real_parts(space: CosetSpace, values: np.ndarray) -> np.ndarray:
@@ -472,25 +501,6 @@ def _real_parts(space: CosetSpace, values: np.ndarray) -> np.ndarray:
     sq = values * values
     w = values[..., 0] / np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3])
     return np.abs(w) if space.base is Base.SO3 else w
-
-
-def _real_part_gap(space: CosetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The largest gap between the sorted real parts (`_real_parts`) of
-    each pair of rows of two (..., m, 4) stacks of raw values, the same as
-    that of their canonical representatives; shape (...).
-
-    Every image in an orbit keeps w, or w up to sign on the rotation base,
-    so the orbit distance between two points is at least the gap between
-    their real parts.  A matching of the two rows within tol therefore
-    pairs real parts that differ by at most tol, and then the sorted real
-    parts differ by at most tol too.  So a gap over tol means that no
-    matching within tol exists: `_match` of the canonical representatives
-    fails as well, by its column test or by a pair over tol in its
-    positional or assignment pairing, and the gap is a lower bound of the
-    deviation that any matching reaches.  A NaN value gives a NaN gap."""
-    wa = np.sort(_real_parts(space, a), axis=-1)
-    wb = np.sort(_real_parts(space, b), axis=-1)
-    return np.abs(wa - wb).max(axis=-1)
 
 
 def grouped_orbits(orbits) -> list[tuple[Orbit, int]]:

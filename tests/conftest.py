@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, strategies as st
 
 import nvalued
+from nvalued import coset
 from nvalued.coset import Base, CosetSpace, _orbits, _product
 from nvalued.quaternion import Quaternion, Vec3, left_matrix
 from nvalued.rotgroups import GroupSpec, RotationGroup, build_group
@@ -76,6 +77,16 @@ def rotation_oracle(q) -> tuple:
 def make_space(label: str, base: str) -> CosetSpace:
     """Shared space cache so tests do not rebuild groups over and over."""
     return CosetSpace(build_group(GroupSpec.parse(label)), Base(base))
+
+
+def count_assignments(monkeypatch) -> list[int]:
+    """Record the rows of each cost matrix that coset._match assigns."""
+    calls = []
+    assign = coset.linear_sum_assignment
+    monkeypatch.setattr(
+        coset, "linear_sum_assignment", lambda m: calls.append(len(m)) or assign(m)
+    )
+    return calls
 
 
 def product_left(space: CosetSpace, x, y, z) -> np.ndarray:

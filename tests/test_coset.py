@@ -36,8 +36,8 @@ from nvalued.rotgroups import GroupSpec, build_group, catalog
 from nvalued.tolerances import EPS_POINT, TOL_AXIOM
 
 from .conftest import (
-    conj_oracle, equator_quaternions, make_space, product_left, product_right,
-    triple_products, unit_quaternions,
+    conj_oracle, count_assignments, equator_quaternions, make_space, product_left,
+    product_right, triple_products, unit_quaternions,
 )
 
 SMALL_SPACES = [
@@ -645,29 +645,36 @@ class TestMultisets:
         assert not ok and np.isnan(dev)
 
     def test_assignment_fallback_when_positional_pairing_fails(self, monkeypatch):
-        # Two orbits whose first coordinates differ by 1e-10; drift of 2e-10
-        # on one of them swaps their sorted order, so positional pairing
-        # compares different orbits and only the assignment finds the match.
+        # Two orbits whose real parts differ by about 1e-10; drift of about
+        # 2e-10 on one of them swaps their sorted order, so positional
+        # pairing compares different orbits and only the assignment on
+        # their run of real parts finds the match.  The inputs are unit
+        # quaternions, since _match normalizes what it canonicalizes.
         s = make_space("C3", "sp1")
         p = Quaternion(0.5, 0.5, 0.5, 0.5)
-        q = Quaternion(0.5 + 1e-10, 0.5, -0.5, -0.5)
-        drifted = Quaternion(0.5 + 2e-10, 0.5, 0.5, 0.5)
-        calls = []
-        assign = coset.linear_sum_assignment
-        monkeypatch.setattr(
-            coset, "linear_sum_assignment", lambda m: calls.append(m) or assign(m)
-        )
+        q = Quaternion(0.5 + 1e-10, 0.5, -0.5, -0.5).normalized()
+        drifted = Quaternion(0.5 + 2e-10, 0.5, 0.5, 0.5).normalized()
+        calls = count_assignments(monkeypatch)
         ok, dev = match_multisets(
             [Orbit(s, p), Orbit(s, q)], [Orbit(s, q), Orbit(s, drifted)], 1e-6
         )
-        assert len(calls) == 1
-        assert ok and dev == pytest.approx(2e-10, rel=1e-3)
+        assert calls == [2]
+        assert ok and dev == pytest.approx(math.dist(p, drifted), rel=1e-3)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="coset._match rejects on sorted x, y, z columns, which are no "
-        "orbit invariant (ROADMAP open item 3)",
-    )
+    def test_a_failed_pair_alone_in_its_run_fails_without_assignment(
+        self, monkeypatch
+    ):
+        # Equal sorted real parts, but the two points at w = 0.6 lie in
+        # different orbits, and no other value has a real part within tol.
+        s = make_space("C3", "sp1")
+        x = np.array([0.3, 0.0, math.sqrt(0.91), 0.0])
+        a = np.array([[x, [0.6, 0.8, 0.0, 0.0]]])
+        b = np.array([[x, [0.6, 0.0, 0.0, 0.8]]])
+        calls = count_assignments(monkeypatch)
+        (dev,) = coset._match(s, a, b, 1e-6)
+        assert calls == []
+        assert dev > 0.1
+
     def test_representative_jump_alone_still_matches(self):
         # these two representatives of one orbit differ by 1.6 in y and z
         s = make_space("C2", "sp1")
@@ -683,8 +690,8 @@ class TestMultisets:
         x, y, z = (np.array([random_point(s, rng).rep]) for _ in range(3))
         left = product_left(s, x, y, z)
         right = product_right(s, x, y, z)
-        ok, dev = coset._match(s, left, right, 1e-6)
-        assert ok and dev < 1e-12
+        (dev,) = coset._match(s, left[None], right[None], 1e-6)
+        assert dev < 1e-12
         assert swept == []
 
     def test_one_orbit_pair_beyond_tol_is_swept_alone(self, monkeypatch):
@@ -697,11 +704,11 @@ class TestMultisets:
         assert math.dist(above, below) > 1e-6
         other = project(s, Quaternion(0.3, 0.1, -0.2, 0.5).normalized()).rep
         swept = count_swept_rows(monkeypatch)
-        ok, dev = coset._match(
-            s, np.array([above, other]), np.array([other, below]), 1e-6
+        (dev,) = coset._match(
+            s, np.array([[above, other]]), np.array([[other, below]]), 1e-6
         )
         assert swept == [1]
-        assert ok and dev <= 1e-12
+        assert dev <= 1e-12
 
     def test_grouped_multiplicities(self, rng):
         s = make_space("C2", "sp1")
@@ -754,8 +761,9 @@ class TestRealPartGap:
     @pytest.mark.parametrize("base", ["sp1", "so3"])
     @pytest.mark.parametrize("label", ["C2", "D3", "T", "O", "I"])
     def test_orbit_images_in_any_order_keep_the_real_parts(self, label, base, rng):
-        # No new false alarm: each raw product value moved to a random image
-        # of its orbit, lift sign included on so3, and the rows shuffled.
+        # No false alarm: each raw product value moved to a random image of
+        # its orbit, lift sign included on so3, and the rows shuffled; so
+        # neither the real-part gap nor the matching rejects them.
         s = make_space(label, base)
         a, b = random_units(rng, 8).reshape(2, 4, 4)
         values = coset._raw_product(s, a, b)
@@ -763,9 +771,9 @@ class TestRealPartGap:
         pick = rng.integers(images.shape[1], size=len(images))
         moved = images[np.arange(len(images)), pick].reshape(values.shape)
         moved = np.stack([rng.permutation(rows) for rows in moved])
-        gap = coset._real_part_gap(s, values, moved)
-        assert gap.shape == (4,)
-        assert gap.max() <= 1e-15
+        dev = coset._match(s, values, moved, 1e-6)
+        assert dev.shape == (4,)
+        assert dev.max() <= 1e-15
 
     @pytest.mark.parametrize("base", ["sp1", "so3"])
     @pytest.mark.parametrize("label", ["C3", "I"])
@@ -786,8 +794,8 @@ class TestRealPartGap:
         s = make_space("C2", "sp1")
         above = project(s, Quaternion(0.6, 5.001e-10, -0.8, 0.0))
         below = project(s, Quaternion(0.6, 4.999e-10, -0.8, 0.0))
-        gap = coset._real_part_gap(s, np.array([above.rep]), np.array([below.rep]))
-        assert gap == 0.0
+        dev = coset._match(s, np.array([[above.rep]]), np.array([[below.rep]]), 1e-6)
+        assert dev <= 1e-12
 
 
 def count_swept_rows(monkeypatch):

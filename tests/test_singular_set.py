@@ -32,7 +32,7 @@ from nvalued.quaternion import ONE, Quaternion
 from nvalued.tolerances import TOL_AXIOM
 from nvalued.topology import singular_orbits
 
-from .conftest import make_space, triple_products
+from .conftest import count_assignments, make_space, triple_products
 
 SPACES = [
     (label, base) for label in ("C2", "D3", "T", "O", "I") for base in ("sp1", "so3")
@@ -86,19 +86,7 @@ def test_inverse_on_the_singular_set(label, base):
 
 
 # Consecutive singular points (x, y, z) = points[i], points[i + 1],
-# points[i + 2], wrapping around the list, by the index i.  The generic
-# matching gets these ones wrong (ROADMAP open item 3); the pairing through
-# the group table passes them all:
-# - on I, i = 6 and 10 (one axis at real part +-0.6: on it, 1e-10 and 1e-8
-#   off it) are true matches, every orbit distance under 1e-15, that the
-#   sorted-column rejection of coset._match turns down;
-# - on I@so3, i = 15 (w = 0, 1e-10, 1e-8 and 1e-6 off a second axis) is a
-#   true match that only the assignment fallback finds, on the full
-#   3600 x 3600 orbit-distance matrix: about 27 s.
-FALSE_ALARMS = {("I", "sp1"): (6, 10), ("I", "so3"): (6, 10)}
-FULL_FALLBACK = {("I", "so3"): (15,)}
-
-
+# points[i + 2], wrapping around the list, by the index i.
 def associative_at(points, i):
     m = len(points)
     x, y, z = points[i], points[(i + 1) % m], points[(i + 2) % m]
@@ -109,29 +97,37 @@ def associative_at(points, i):
 @pytest.mark.parametrize("label, base", SPACES)
 def test_associativity_on_the_singular_set(label, base):
     _, points = space_and_points(label, base)
-    parked = FALSE_ALARMS.get((label, base), ()) + FULL_FALLBACK.get((label, base), ())
     for i in range(len(points)):
-        if i not in parked:
-            associative_at(points, i)
+        associative_at(points, i)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="coset._match rejects on sorted x, y, z columns, which are no "
-    "orbit invariant (ROADMAP open item 3)",
-)
+# On I, i = 6 and 10 (one axis at real part +-0.6: on it, 1e-10 and 1e-8
+# off it) are true matches, every orbit distance under 1e-15, whose sorted
+# x, y, z columns differ by more than 2 tol; positional pairing finds them.
 @pytest.mark.parametrize(
     "label, base, i",
-    [(label, base, i) for (label, base), ix in FALSE_ALARMS.items() for i in ix],
+    [("I", "sp1", 6), ("I", "sp1", 10), ("I", "so3", 6), ("I", "so3", 10)],
 )
-def test_associativity_false_alarms_on_the_singular_set(label, base, i):
+def test_associativity_false_alarms_on_the_singular_set(label, base, i, monkeypatch):
     _, points = space_and_points(label, base)
+    calls = count_assignments(monkeypatch)
     associative_at(points, i)
+    assert calls == []
+
+
+def test_a_singular_triple_is_assigned_within_its_run(monkeypatch):
+    # On I@so3, i = 15 (w = 0, 1e-10, 1e-8 and 1e-6 off a second axis) is a
+    # true match that positional pairing misses.  An assignment on all 3600
+    # values takes about 27 s; its largest run of real parts holds 648.
+    _, points = space_and_points("I", "so3")
+    calls = count_assignments(monkeypatch)
+    associative_at(points, 15)
+    assert 0 < max(calls) <= 648
 
 
 @pytest.mark.parametrize("label, base", SPACES)
 def test_witnessed_associativity_on_the_singular_set(label, base):
-    # every consecutive triple, FALSE_ALARMS and FULL_FALLBACK included;
+    # every consecutive triple;
     # the pairing is exact up to rounding, so far inside TOL_AXIOM
     space, points = space_and_points(label, base)
     reps = np.array([p.rep for p in points])
