@@ -17,7 +17,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
@@ -36,8 +35,9 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 # Largest group order accepted.  Building a group and its singular orbits
 # costs O(order log order): `nvalued generate C1000` and `nvalued classify
-# D500` each take about 0.4 s wall, 0.3 s of it interpreter start and
-# imports, and under 60 MB on a 2-core host.
+# D500` each take about 0.2 s wall (medians of 5 fresh processes on a
+# 2-core host, 0.19-0.31 s as its speed wanders), 0.15-0.2 s of it
+# interpreter start and imports, in under 50 MB.
 MAX_ORDER = 1000
 
 _SPEC_RE = re.compile(r"^([CD])([0-9]+)$|^([TOI])$")
@@ -45,8 +45,8 @@ _SPEC_RE = re.compile(r"^([CD])([0-9]+)$|^([TOI])$")
 
 class ClosureFailure(RuntimeError):
     """A group or an element does not close up: the cover folds to the
-    wrong number of rotations, no element is the identity, or no power of
-    an element is the identity."""
+    wrong number of rotations, no element is the identity, or no order
+    dividing the group order fits an element."""
 
 
 class NotInGroup(ValueError):
@@ -214,9 +214,25 @@ class RotationGroup:
         rows = np.concatenate([self.element_rows, -self.element_rows]) + 0.0
         return list(map(Quaternion._make, rows.tolist()))
 
+    @cached_property
+    def _row_index(self) -> dict[Quaternion, int]:
+        """The index of each stored row, the first of exact duplicates.
+        Rows that are not finite are left out: they are the same point as
+        nothing, themselves included."""
+        finite = np.flatnonzero(np.isfinite(self.element_rows).all(axis=1))
+        # in reverse, so that the first of duplicates is written last
+        return {self.elements[i]: i for i in finite[::-1].tolist()}
+
     def index_of(self, g: Quaternion) -> int:
         """Index of the rotation covered by g, or NotInGroup.  Either lift
-        of g may be the same point as the stored one."""
+        of g may be the same point as the stored one.  A stored row itself
+        is found by one dict lookup; anything else is compared with every
+        row.  The two agree whenever the rows are distinct rotations, as
+        `build_group` makes them by folding the cover."""
+        try:
+            return self._row_index[g]
+        except (KeyError, TypeError):
+            pass
         q = np.array(g, dtype=float)
         rows = self.element_rows
         hits = np.flatnonzero(same_point(rows, q) | same_point(rows, -q))
@@ -268,16 +284,22 @@ def element_order(g: Quaternion, group: RotationGroup) -> int:
     A lift of g is cos(pi t) + sin(pi t) u for a unit imaginary u, with
     t = atan2(|v|, |w|) / pi in [0, 1/2] its turn fraction, so g^d lies at
     angle pi * dist(d t, Z) from +-1 on the 3-sphere.  In a group of order n
-    the order d divides n: it is the denominator of the fraction k/d
-    nearest t with d <= n, and ClosureFailure says that g^d still misses
-    +-1 by more than EPS_POINT, so no power of g returns to the identity.
+    the order d divides n (Lagrange), so t is k/n for k = round(n t), and
+    d = n / gcd(k, n) is the denominator of k/n in lowest terms.
+    ClosureFailure says that g^d still misses +-1 by more than EPS_POINT:
+    no order dividing n fits g.  Fractions with denominators up to n are
+    at least 1/n^2 apart, so no other fraction lies within that slack.
     """
-    w, x, y, z = group.element_rows[group.index_of(g)]
+    w, x, y, z = group.elements[group.index_of(g)]
     turns = math.atan2(math.sqrt(x * x + y * y + z * z), abs(w)) / math.pi
-    frac = Fraction(turns).limit_denominator(len(group))
-    if math.pi * abs(turns - frac) * frac.denominator > EPS_POINT:
-        raise ClosureFailure(f"no power of {g} returns to the identity")
-    return frac.denominator
+    n = len(group)
+    k = round(turns * n)
+    d = n // math.gcd(k, n)
+    if math.pi * abs(turns - k / n) * d > EPS_POINT:
+        raise ClosureFailure(
+            f"{g} has no order dividing {n}, the order of {group.spec.label}"
+        )
+    return d
 
 
 def has_half_turn(group: RotationGroup) -> bool:

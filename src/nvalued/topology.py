@@ -128,9 +128,13 @@ def check_suspension(
     points = random_units(np.random.default_rng(seed), samples)
     # -q conjugates exactly like q, so the elements stand for the cover.
     mats = conj_matrix(group.element_rows)
-    # only the real part of each image is needed: row 0 of each matrix
-    real = np.einsum("kj,mj->mk", mats[:, 0, :], points)
-    dev = float(np.abs(real - points[:, None, 0]).max())
+    # only the real part of each image is needed: row 0 of each matrix,
+    # one row per element, so the extremes below reduce across rows
+    real = mats[:, 0, :] @ points.T
+    # rounding is monotone, so the extremes of each sample's column give
+    # its largest |real - w| exactly; np.maximum keeps a NaN
+    w = points[:, 0]
+    dev = float(np.maximum(real.max(axis=0) - w, w - real.min(axis=0)).max())
 
     poles = np.array([(1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0)])
     pole_images = np.einsum("kij,mj->mki", mats, poles)

@@ -1,5 +1,6 @@
 import math
 import os
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -11,7 +12,14 @@ import nvalued
 from nvalued import coset
 from nvalued.coset import Base, CosetSpace, _orbits, _product
 from nvalued.quaternion import Quaternion, Vec3, left_matrix
-from nvalued.rotgroups import GroupSpec, RotationGroup, build_group
+from nvalued.rotgroups import (
+    ClosureFailure,
+    GroupSpec,
+    NotInGroup,
+    RotationGroup,
+    build_group,
+    same_point,
+)
 from nvalued.tolerances import EPS_POINT
 
 
@@ -71,6 +79,38 @@ def rotation_oracle(q) -> tuple:
     raw = Vec3(x / s, y / s, z / s)
     axis = canonical_sign_oracle(raw)
     return axis, angle if axis is raw else 2.0 * math.pi - angle
+
+
+def index_of_oracle(group: RotationGroup, g) -> int:
+    """RotationGroup.index_of by comparing g, either lift, with every
+    stored row: the first row that is the same point, or NotInGroup."""
+    q = np.array(g, dtype=float)
+    rows = group.element_rows
+    hits = np.flatnonzero(same_point(rows, q) | same_point(rows, -q))
+    if not len(hits):
+        raise NotInGroup(f"{g} is not an element of {group.spec.label}")
+    return int(hits[0])
+
+
+def element_order_oracle(g, group: RotationGroup) -> int:
+    """element_order as the denominator of the fraction nearest the turn
+    fraction among all denominators up to the group order, which need not
+    divide it; ClosureFailure when that power still misses +-1 by more
+    than EPS_POINT."""
+    w, x, y, z = group.element_rows[index_of_oracle(group, g)]
+    turns = math.atan2(math.sqrt(x * x + y * y + z * z), abs(w)) / math.pi
+    frac = Fraction(turns).limit_denominator(len(group))
+    if math.pi * abs(turns - frac) * frac.denominator > EPS_POINT:
+        raise ClosureFailure(f"no power of {g} returns to the identity")
+    return frac.denominator
+
+
+def outcome(f, *args):
+    """What f(*args) gives: its value, or the type of what it raises."""
+    try:
+        return f(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
 
 
 @lru_cache(maxsize=None)

@@ -34,6 +34,9 @@ from nvalued.tolerances import EPS_POINT
 from .conftest import (
     canonical_sign_oracle,
     closure_defect,
+    element_order_oracle,
+    index_of_oracle,
+    outcome,
     qmul_oracle,
     rotation_oracle,
 )
@@ -43,6 +46,18 @@ CATALOG_ORDERS = {
     "D1": 2, "D2": 4, "D3": 6, "D4": 8, "D5": 10, "D6": 12,
     "T": 12, "O": 24, "I": 60,
 }
+
+# Groups whose element orders and lookups are compared with the oracles.
+ORACLE_LABELS = [*CATALOG_ORDERS, "C97", "D100", "C1000", "D500"]
+
+
+def with_corrupted_copies(label):
+    """The group for `label` and, unless it is trivial, its corrupted
+    copies at 0.1, 1e-5 and 1e-9 rad."""
+    g = build_group(GroupSpec.parse(label))
+    if len(g) < 2:
+        return [g]
+    return [g] + [corrupted_copy(g, extra_angle=a) for a in (0.1, 1e-5, 1e-9)]
 
 
 def test_catalog_contents():
@@ -228,6 +243,21 @@ class TestElementOrderClosedForm:
         orders = [element_order(q, g) for q in g.elements]
         assert {d: orders.count(d) for d in set(orders)} == expected
 
+    @pytest.mark.parametrize("label", ORACLE_LABELS)
+    def test_matches_the_nearest_fraction(self, label):
+        for h in with_corrupted_copies(label):
+            for q in h.elements:
+                assert outcome(element_order, q, h) == outcome(element_order_oracle, q, h)
+
+    def test_an_order_that_does_not_divide_the_group_order_fails(self):
+        # a quarter turn added to the half-turn of C6 leaves order 4, the
+        # nearest fraction's denominator, which does not divide 6
+        g = corrupted_copy(build_group(GroupSpec.parse("C6")), math.pi / 2)
+        bad = g.elements[1 if g.identity_index == 0 else 0]
+        assert element_order_oracle(bad, g) == 4
+        with pytest.raises(ClosureFailure, match="no order dividing 6"):
+            element_order(bad, g)
+
     def test_corrupted_element_has_no_order(self):
         g = corrupted_copy(build_group(GroupSpec.parse("C5")), 0.1)
         bad = 1 if g.identity_index == 0 else 0
@@ -319,6 +349,36 @@ def test_index_of_accepts_either_lift():
     g = build_group(GroupSpec.parse("C4"))
     for q in g.elements:
         assert g.index_of(q) == g.index_of(-q)
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+def test_index_of_matches_the_scan(label):
+    for h in with_corrupted_copies(label):
+        for q in h.elements:
+            nudged = q._replace(w=q.w + 1e-10)
+            for query in (q, -q, q.conjugate(), nudged):
+                assert outcome(h.index_of, query) == outcome(index_of_oracle, h, query)
+
+
+def test_index_of_finds_no_row_that_is_not_finite():
+    g = build_group(GroupSpec.parse("C4"))
+    rows = g.element_rows.copy()
+    bad = [i for i in range(len(g)) if i != g.identity_index][:2]
+    rows[bad[0], 1] = math.nan
+    rows[bad[1], 2] = math.nan
+    h = RotationGroup(g.spec, rows)
+    queries = [h.elements[i] for i in bad] + [(math.nan,) * 4, ONE[:3], list(ONE)]
+    for query in queries:
+        assert outcome(h.index_of, query) == outcome(index_of_oracle, h, query)
+    for i in bad:
+        with pytest.raises(NotInGroup):
+            h.index_of(h.elements[i])
+
+
+def test_index_of_finds_a_stored_row_without_the_scan(monkeypatch):
+    g = build_group(GroupSpec.parse("D500"))
+    monkeypatch.setattr(rotgroups, "same_point", None)
+    assert [g.index_of(q) for q in g.elements] == list(range(len(g)))
 
 
 @pytest.mark.parametrize("label", ["C4", "D3", "I"])

@@ -16,7 +16,13 @@ from nvalued.quaternion import (
     conj_matrix,
     random_units,
 )
-from nvalued.rotgroups import GroupSpec, build_group, catalog, has_half_turn
+from nvalued.rotgroups import (
+    GroupSpec,
+    RotationGroup,
+    build_group,
+    catalog,
+    has_half_turn,
+)
 from nvalued.tolerances import EPS_POINT
 from nvalued.topology import (
     MAX_SAMPLES,
@@ -111,10 +117,15 @@ class TestSuspension:
         x = Quaternion(0.3, 0.1, -0.2, 0.5).normalized()
         assert abs(qmul_oracle(QK, x).w - x.w) > 0.1
 
-    @pytest.mark.parametrize("spec", catalog(), ids=str)
+    @pytest.mark.parametrize(
+        "spec",
+        catalog() + [GroupSpec.parse(s) for s in ("C97", "D100", "C1000", "D500")],
+        ids=str,
+    )
     def test_deviation_equals_full_image_tensor(self, spec):
         # the real-part row alone gives bit for bit the deviation of the
-        # full conjugation images of the same points
+        # full conjugation images of the same points, also at the widths
+        # where BLAS blocks the product differently
         g = build_group(spec)
         points = random_units(np.random.default_rng(0), 1000)
         poles = np.array([(1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0)])
@@ -124,6 +135,14 @@ class TestSuspension:
         pole_images = np.einsum("kij,mj->mki", mats, poles)
         pole_dev = float(np.abs(pole_images - poles[:, None, :]).max())
         assert check_suspension(g, 1000, 0).max_deviation == max(dev, pole_dev)
+
+    def test_a_row_that_is_not_a_number_fails(self):
+        g = build_group(GroupSpec.parse("C3"))
+        rows = g.element_rows.copy()
+        rows[1 if g.identity_index == 0 else 0, 0] = math.nan
+        rep = check_suspension(RotationGroup(g.spec, rows), samples=50)
+        assert math.isnan(rep.max_deviation)
+        assert not rep.passed
 
     def test_deterministic_in_seed(self):
         g = build_group(GroupSpec.parse("D3"))
