@@ -190,7 +190,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 "command": "generate",
                 "space": space_label,
                 "n": len(group),
-                "cover_size": len(group.cover),
+                "cover_size": 2 * len(group),
                 "elements": [
                     {"rep": _rep_list(g), "order": d}
                     for g, d in zip(group.elements, orders)
@@ -198,7 +198,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             }
         )
     else:
-        print(f"{space_label}: n={len(group)} cover={len(group.cover)}")
+        print(f"{space_label}: n={len(group)} cover={2 * len(group)}")
         for i, (g, d) in enumerate(zip(group.elements, orders)):
             print(f"  [{i:3d}] {_rep_text(g)}  order {d}")
     return 0

@@ -48,7 +48,7 @@ from .quaternion import (
     left_matrix,
     normalized_rows,
     random_units,
-    rounded_key,
+    rounded_order,
 )
 from .rotgroups import RotationGroup
 from .tolerances import EPS_POINT
@@ -386,13 +386,6 @@ def identity_orbit(space: CosetSpace) -> Orbit:
     return project(space, ONE)
 
 
-def _rounded_order(reps: np.ndarray) -> np.ndarray:
-    """The order of the rows of each trial of a (t, m, 4) stack, sorted
-    lexicographically on 12-decimal rounding, stable, so that drift below
-    the rounding does not reorder canonical representatives; shape (t, m)."""
-    return np.lexsort(np.round(reps, 12).transpose(2, 0, 1)[::-1], axis=-1)
-
-
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """scipy's optimal assignment, imported on first use: only a failed
     positional pair in `_match` needs it, so importing nvalued does not
@@ -439,7 +432,7 @@ def _match(space: CosetSpace, a: np.ndarray, b: np.ndarray, tol: float) -> np.nd
       value gives a NaN gap.
     - The other trials are canonicalized (in sweeps of at most
       `_MATCH_SWEEP` images), sorted by their rounded representatives
-      (`_rounded_order`) and paired positionally.  A pair within tol by
+      (`rounded_order`) and paired positionally.  A pair within tol by
       plain distance is matched, since that bounds the orbit distance from
       above; only the other pairs get the orbit distance.
     - A matching within tol never pairs across a cut: a position where
@@ -462,7 +455,7 @@ def _match(space: CosetSpace, a: np.ndarray, b: np.ndarray, tol: float) -> np.nd
     edges = [len(rows) * i // count for i in range(count + 1)]
     canon = [_canonical(space, rows[s:e]) for s, e in zip(edges, edges[1:])]
     canon = np.concatenate(canon).reshape(2 * t, m, 4)
-    order = (np.arange(2 * t)[:, None], _rounded_order(canon))
+    order = (np.arange(2 * t)[:, None], rounded_order(canon))
     ca, cb = canon[order].reshape(2, t, m, 4)
     w = _real_parts(space, sides)[order].reshape(2, t, m)
 
@@ -514,7 +507,7 @@ def grouped_orbits(orbits) -> list[tuple[Orbit, int]]:
     twice that (to cover rounding) get the orbit distance."""
     space, reps = _rows(orbits)
     groups: list[list] = []  # [first representative, multiplicity]
-    for row in sorted(reps.tolist(), key=rounded_key):
+    for row in reps[rounded_order(reps)].tolist():
         w = abs(row[0])
         for group in groups:
             first = group[0]

@@ -5,7 +5,10 @@ and `Vec3`, a point of R^3 with no arithmetic of its own.  Arithmetic runs
 on (m, 4) arrays through the kernels `left_matrix`, `right_matrix`,
 `conj_matrix` (p -> q p q*: on imaginary p, the rotation covered by q and
 -q), `normalized_rows`, `random_units`, and `canonical_sign`, which folds
-rows.
+rows.  Rows of points, quaternions and product values are ordered by one
+rule, their coordinates rounded to 12 decimals and compared
+lexicographically: `rounded_order` sorts a whole array that way, and
+`rounded_key` is the same rule for one row.
 """
 
 from __future__ import annotations
@@ -68,8 +71,37 @@ def canonical_sign(q: np.ndarray) -> np.ndarray:
 
 def rounded_key(v) -> tuple[float, ...]:
     """Sort key for points and quaternions: coordinates rounded to 12
-    decimals, so that drift below the rounding cannot reorder them."""
-    return tuple(round(c, 12) + 0.0 for c in v)
+    decimals, so that drift below the rounding cannot reorder them.  Each
+    coordinate is rounded as a Python float, whatever its type: `round` on
+    a numpy float64 rounds as `np.round` does."""
+    return tuple(round(float(c), 12) + 0.0 for c in v)
+
+
+# np.round(x, 12) scales x by 1e12, rounds half to even and scales back.
+# For |x| <= 1 the scaled product is within 2^-13 (1.2e-16 once scaled
+# back) of the exact x * 1e12, and the result within half an ulp (1.1e-16)
+# of the decimal it names, so where it rounds otherwise than Python's
+# `round`, which rounds the exact decimal value of x, x lies within
+# 1.2e-16 of a half-way point and |x - np.round(x, 12)| within 2.4e-16 of
+# 5e-13.  Integers below 2^15 in magnitude scale exactly and come back
+# unchanged.  The margin covers both with room to spare.
+_HALF_WAY = 5e-13
+_HALF_WAY_MARGIN = 1e-15
+
+
+def rounded_order(rows: np.ndarray) -> np.ndarray:
+    """The stable order of the rows of a (..., m, c) array by `rounded_key`,
+    along the row axis; shape (..., m).  For each stack of rows it is bit
+    for bit `sorted(range(m), key=lambda i: rounded_key(rows[i]))`, on
+    coordinates of magnitude at most 1 and on integers below 2^15.  The
+    keys come from `np.round`, except that the coordinates near a half-way
+    point at the 12th decimal, the only ones where it can round otherwise,
+    are rounded again by Python's `round`."""
+    keys = np.round(rows, 12)
+    near = np.abs(np.abs(rows - keys) - _HALF_WAY) <= _HALF_WAY_MARGIN
+    if near.any():
+        keys[near] = [round(c, 12) for c in rows[near].tolist()]
+    return np.lexsort(np.moveaxis(keys, -1, 0)[::-1], axis=-1)
 
 
 def random_units(rng: np.random.Generator, m: int) -> np.ndarray:

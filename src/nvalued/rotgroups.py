@@ -27,7 +27,7 @@ from .quaternion import (
     Quaternion,
     canonical_sign,
     left_matrix,
-    rounded_key,
+    rounded_order,
 )
 from .tolerances import EPS_POINT
 
@@ -266,7 +266,7 @@ class RotationGroup:
 def build_group(spec: GroupSpec) -> RotationGroup:
     """The group for `spec`, from the closed form of its binary cover, whose
     signs must fold to exactly the group order of rotations (else
-    ClosureFailure); their lifts are stored sorted."""
+    ClosureFailure); their lifts are stored in `rounded_order`."""
     n = spec.order
     # + 0.0 turns the negative zeros of negated rows into zeros
     folded = canonical_sign(_cover(spec)) + 0.0
@@ -275,7 +275,7 @@ def build_group(spec: GroupSpec) -> RotationGroup:
         raise ClosureFailure(
             f"{spec.label}: the cover folds to {len(lifts)} rotations, expected {n}"
         )
-    return RotationGroup(spec, sorted(lifts.tolist(), key=rounded_key))
+    return RotationGroup(spec, lifts[rounded_order(lifts)])
 
 
 def element_order(g: Quaternion, group: RotationGroup) -> int:

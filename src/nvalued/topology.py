@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -28,7 +27,7 @@ from .quaternion import (
     canonical_sign,
     conj_matrix,
     random_units,
-    rounded_key,
+    rounded_order,
 )
 from .rotgroups import (
     GroupSpec,
@@ -191,7 +190,7 @@ def singular_orbits(group: RotationGroup) -> SingularOrbitData:
 
     rotations = conj_matrix(group.element_rows)[:, 1:, 1:]
     unassigned = np.ones(len(points), dtype=bool)
-    orbits: list[SphereOrbit] = []
+    found: list[tuple[np.ndarray, int]] = []  # (point indices, stabilizer)
     while unassigned.any():
         start = unassigned.argmax()
         hits = match_rows(points, rotations @ points[start])
@@ -210,11 +209,26 @@ def singular_orbits(group: RotationGroup) -> SingularOrbitData:
                 f"{group.spec}: orbit of size {len(orbit)} with stabilizer {nu} "
                 f"violates orbit-stabilizer for order {n}"
             )
-        ordered = sorted(map(Vec3._make, points[orbit].tolist()), key=rounded_key)
-        orbits.append(SphereOrbit(tuple(ordered), nu))
+        found.append((orbit, nu))
 
-    orbits.sort(key=lambda o: (o.stabilizer_order, rounded_key(o.points[0])))
-    return SingularOrbitData(tuple(orbits))
+    # One rounded order of the rows [nu, x, y, z] orders the points of each
+    # orbit, and the orbits by stabilizer order, then by their first point.
+    rows = np.concatenate(
+        [np.empty((0, 4))]
+        + [np.column_stack([np.full(len(o), nu), points[o]]) for o, nu in found]
+    )
+    order = rounded_order(rows)
+    owner = np.repeat(np.arange(len(found)), [len(o) for o, _ in found])[order]
+    # the position in the order of each orbit's first point
+    _, first = np.unique(owner, return_index=True)
+    orbits = tuple(
+        SphereOrbit(
+            tuple(map(Vec3._make, rows[order[owner == k], 1:].tolist())),
+            found[k][1],
+        )
+        for k in np.argsort(first).tolist()
+    )
+    return SingularOrbitData(orbits)
 
 
 def riemann_hurwitz_check(group: RotationGroup) -> bool:
@@ -228,9 +242,11 @@ def riemann_hurwitz_check(group: RotationGroup) -> bool:
     not acting the way a rotation group must.
     """
     data = singular_orbits(group)
-    n = Fraction(len(group))
-    total = sum((1 - Fraction(1, o.stabilizer_order) for o in data.orbits), Fraction(0))
-    rhs = n * (2 - total)
+    n = len(group)
+    # n (2 - sum_i (1 - 1/nu_i)) over r orbits; exact, since each nu_i
+    # divides n (singular_orbits enforces it)
+    r = len(data.orbits)
+    rhs = sum(n // o.stabilizer_order for o in data.orbits) - n * (r - 2)
     if rhs != 2:
         raise IdentityViolation(
             f"{group.spec}: branching identity gives {rhs}, expected 2 "

@@ -10,17 +10,27 @@ from hypothesis import assume, strategies as st
 
 import nvalued
 from nvalued import coset
-from nvalued.coset import Base, CosetSpace, _orbits, _product
-from nvalued.quaternion import Quaternion, Vec3, left_matrix
+from nvalued.coset import Base, CosetSpace, Orbit, _orbit_gap, _orbits, _product, _rows
+from nvalued.quaternion import (
+    Quaternion,
+    Vec3,
+    canonical_sign,
+    conj_matrix,
+    left_matrix,
+    rounded_key,
+)
 from nvalued.rotgroups import (
     ClosureFailure,
     GroupSpec,
     NotInGroup,
     RotationGroup,
+    _cover,
     build_group,
+    match_rows,
     same_point,
 )
 from nvalued.tolerances import EPS_POINT
+from nvalued.topology import IdentityViolation, SingularOrbitData, SphereOrbit
 
 
 # sign and target index of e_i * e_j for basis order (1, i, j, k)
@@ -103,6 +113,96 @@ def element_order_oracle(g, group: RotationGroup) -> int:
     if math.pi * abs(turns - frac) * frac.denominator > EPS_POINT:
         raise ClosureFailure(f"no power of {g} returns to the identity")
     return frac.denominator
+
+
+def rounded_order_oracle(rows: np.ndarray) -> list[int]:
+    """The order of the rows of an (m, c) array by rounded_key: a stable
+    Python sort of their indices over the rows as Python floats."""
+    listed = rows.tolist()
+    return sorted(range(len(listed)), key=lambda i: rounded_key(listed[i]))
+
+
+def np_round_order(rows: np.ndarray) -> np.ndarray:
+    """The order of the rows of each stack of a (..., m, c) array by a
+    lexsort of np.round(rows, 12) alone, which rounds otherwise than
+    Python's round next to a half-way point at the 12th decimal."""
+    return np.lexsort(np.moveaxis(np.round(rows, 12), -1, 0)[::-1], axis=-1)
+
+
+def near_half_way(rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
+    """x with each coordinate moved to within 3 ulps of a half-way point
+    between two neighbouring 12-decimal values, where np.round and
+    Python's round can disagree; no coordinate moves by more than 1e-12."""
+    half = (np.floor(x * 1e12) + 0.5) / 1e12
+    return half + rng.integers(-3, 4, size=x.shape) * np.spacing(half)
+
+
+def sorted_lifts_oracle(spec: GroupSpec) -> list[list[float]]:
+    """The canonical-sign lifts of the group for `spec`, found as
+    build_group finds them and sorted as Python lists by rounded_key."""
+    folded = canonical_sign(_cover(spec)) + 0.0
+    lifts = folded[np.unique(match_rows(folded, folded))]
+    return sorted(lifts.tolist(), key=rounded_key)
+
+
+def singular_orbits_oracle(group: RotationGroup) -> SingularOrbitData:
+    """singular_orbits with each orbit's points sorted as Vec3s by
+    rounded_key, then the orbits by stabilizer order and the key of their
+    first point, one Python sort each."""
+    n = len(group)
+    imag = np.delete(group.element_rows, group.identity_index, axis=0)[:, 1:]
+    length = np.sqrt((imag * imag).sum(axis=1))
+    if (length <= EPS_POINT).any():
+        raise IdentityViolation(f"non-identity element of {group.spec} has no axis")
+    axes = canonical_sign(imag / length[:, None])
+    lines, count = np.unique(match_rows(axes, axes), return_counts=True)
+    points = np.concatenate([axes[lines], -axes[lines]])
+    stabilizer = np.tile(1 + count, 2)
+
+    rotations = conj_matrix(group.element_rows)[:, 1:, 1:]
+    unassigned = np.ones(len(points), dtype=bool)
+    orbits: list[SphereOrbit] = []
+    while unassigned.any():
+        start = unassigned.argmax()
+        hits = match_rows(points, rotations @ points[start])
+        orbit = np.unique(hits[hits >= 0])
+        unassigned[orbit] = False
+        unassigned[start] = False
+        stabs = set(np.where(hits >= 0, stabilizer[hits], 1).tolist())
+        if len(stabs) != 1:
+            raise IdentityViolation(
+                f"{group.spec}: stabilizer orders differ along one orbit: {stabs}"
+            )
+        nu = stabs.pop()
+        if nu < 2 or n % nu != 0 or len(orbit) * nu != n:
+            raise IdentityViolation(
+                f"{group.spec}: orbit of size {len(orbit)} with stabilizer {nu} "
+                f"violates orbit-stabilizer for order {n}"
+            )
+        ordered = sorted(map(Vec3._make, points[orbit].tolist()), key=rounded_key)
+        orbits.append(SphereOrbit(tuple(ordered), nu))
+
+    orbits.sort(key=lambda o: (o.stabilizer_order, rounded_key(o.points[0])))
+    return SingularOrbitData(tuple(orbits))
+
+
+def grouped_orbits_oracle(orbits) -> list[tuple[Orbit, int]]:
+    """grouped_orbits over the representatives sorted as Python lists by
+    rounded_key."""
+    space, reps = _rows(orbits)
+    groups: list[list] = []
+    for row in sorted(reps.tolist(), key=rounded_key):
+        w = abs(row[0])
+        for group in groups:
+            first = group[0]
+            if abs(abs(first[0]) - w) <= 2.0 * EPS_POINT and (
+                _orbit_gap(space, first, row) <= EPS_POINT
+            ):
+                group[1] += 1
+                break
+        else:
+            groups.append([row, 1])
+    return [(Orbit(space, Quaternion(*first)), count) for first, count in groups]
 
 
 def outcome(f, *args):

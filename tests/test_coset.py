@@ -17,6 +17,7 @@ from nvalued.coset import (
     Base,
     CosetSpace,
     Orbit,
+    Orbits,
     SizeMismatch,
     _canonical,
     grouped_orbits,
@@ -36,8 +37,9 @@ from nvalued.rotgroups import GroupSpec, build_group, catalog
 from nvalued.tolerances import EPS_POINT, TOL_AXIOM
 
 from .conftest import (
-    conj_oracle, count_assignments, equator_quaternions, make_space, product_left,
-    product_right, triple_products, unit_quaternions,
+    conj_oracle, count_assignments, equator_quaternions, grouped_orbits_oracle,
+    make_space, near_half_way, product_left, product_right, triple_products,
+    unit_quaternions,
 )
 
 SMALL_SPACES = [
@@ -748,6 +750,20 @@ class TestMultisets:
         assert orbit_distance(above, below) < 1e-12
         ((_, count),) = grouped_orbits([above, below])
         assert count == 2
+
+    @pytest.mark.parametrize("base", ["sp1", "so3"])
+    @pytest.mark.parametrize("label", ["C2", "D3", "T", "O"])
+    def test_grouping_orders_values_near_half_way_as_rounded_key(
+        self, label, base, rng
+    ):
+        # every coordinate within 3 ulps of a half-way point at the 12th
+        # decimal, where np.round alone can round otherwise
+        s = make_space(label, base)
+        a, b = (project(s, Quaternion(*q)) for q in random_units(rng, 2).tolist())
+        for x, y in ((a, b), (project(s, QI), a), (identity_orbit(s), b)):
+            values = Orbits(s, near_half_way(rng, orbit_product(x, y).reps))
+            got = [(o.rep, m) for o, m in grouped_orbits(values)]
+            assert got == [(o.rep, m) for o, m in grouped_orbits_oracle(values)]
 
     def test_grouping_keeps_distinct_orbits_of_equal_abs_w_apart(self):
         s = make_space("C3", "so3")

@@ -32,13 +32,18 @@ from nvalued.quaternion import (
     normalized_rows,
     random_units,
     right_matrix,
+    rounded_key,
+    rounded_order,
 )
 
 from .conftest import (
     canonical_sign_oracle,
     conj_oracle,
+    near_half_way,
+    np_round_order,
     qmul_oracle,
     rotation_oracle,
+    rounded_order_oracle,
     unit_quaternions,
 )
 
@@ -276,6 +281,56 @@ def test_normalized_rows_equal_quaternion_normalized_bit_for_bit(scale):
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert np.array_equal(np.signbit(got), np.signbit(rows))
     assert got is not rows
+
+
+def test_rounded_key_rounds_a_numpy_float_as_a_python_float():
+    # round() on a numpy float64 rounds as np.round does: 0.574196614978
+    x = 0.5741966149775
+    assert rounded_key([np.float64(x)]) == rounded_key([x]) == (0.574196614977,)
+
+
+@given(st.lists(unit_quaternions(), max_size=12))
+def test_rounded_order_sorts_unit_rows_as_rounded_key(qs):
+    # the repeated rows are exact ties, which a stable order keeps in place
+    rows = np.array(qs + qs[::2], dtype=float).reshape(-1, 4)
+    assert rounded_order(rows).tolist() == rounded_order_oracle(rows)
+
+
+def half_way_stacks(rng: np.random.Generator, t: int, m: int) -> np.ndarray:
+    """A (t, m, 4) stack of rows whose first coordinate is k / 1e12,
+    (k + 1) / 1e12 or within 3 ulps of the half-way point between them,
+    one k per trial, and whose other coordinates repeat: how the first
+    coordinate rounds decides the order."""
+    k = rng.integers(-10**12, 10**12 - 1, size=(t, 1))
+    half = (k + 0.5) / 1e12
+    near = half + rng.integers(-3, 4, size=(t, m)) * np.spacing(half)
+    pick = rng.integers(0, 3, size=(t, m))
+    w = np.select([pick == 0, pick == 1], [k / 1e12, (k + 1) / 1e12], near)
+    rest = rng.choice([-0.5, 0.0, 0.25, 0.5], size=(t, m, 3))
+    return np.concatenate([w[..., None], rest], axis=2)
+
+
+def test_rounded_order_rounds_half_way_points_as_python_does(rng):
+    stacks = half_way_stacks(rng, 4000, 6)
+    want = [rounded_order_oracle(rows) for rows in stacks]
+    # the stack at once, and each of its trials alone
+    assert rounded_order(stacks).tolist() == want
+    assert [rounded_order(rows).tolist() for rows in stacks] == want
+    # np.round alone orders about one trial in seven otherwise
+    assert (np_round_order(stacks) != np.array(want)).any(axis=1).sum() > 200
+
+
+def test_rounded_order_of_no_rows_is_empty():
+    assert rounded_order(np.empty((0, 4))).shape == (0,)
+    assert rounded_order(np.empty((3, 0, 4))).shape == (3, 0)
+
+
+def test_rounded_order_sorts_an_integer_first_column(rng):
+    rows = np.column_stack(
+        [rng.choice([2, 3, 5, 1000], size=200), random_units(rng, 200)[:, 1:]]
+    )
+    rows[100:, 1:] = near_half_way(rng, rows[100:, 1:])
+    assert rounded_order(rows).tolist() == rounded_order_oracle(rows)
 
 
 def test_public_surface_is_all_and_holds_one_arithmetic():

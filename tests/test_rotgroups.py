@@ -39,6 +39,7 @@ from .conftest import (
     outcome,
     qmul_oracle,
     rotation_oracle,
+    sorted_lifts_oracle,
 )
 
 CATALOG_ORDERS = {
@@ -349,6 +350,15 @@ def test_index_of_accepts_either_lift():
     g = build_group(GroupSpec.parse("C4"))
     for q in g.elements:
         assert g.index_of(q) == g.index_of(-q)
+
+
+def test_build_group_stores_the_lifts_sorted_by_rounded_key():
+    strided = [f"C{n}" for n in range(1, 1001, 37)]
+    strided += [f"D{m}" for m in range(1, 501, 19)]
+    for label in strided + ORACLE_LABELS:
+        spec = GroupSpec.parse(label)
+        rows = build_group(spec).element_rows
+        assert rows.tolist() == sorted_lifts_oracle(spec), label
 
 
 @pytest.mark.parametrize("label", ORACLE_LABELS)

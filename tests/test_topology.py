@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nvalued import topology
 from nvalued.axioms import corrupted_copy
 from nvalued.coset import Base
 from nvalued.quaternion import (
@@ -13,6 +14,7 @@ from nvalued.quaternion import (
     QJ,
     QK,
     Quaternion,
+    Vec3,
     conj_matrix,
     random_units,
 )
@@ -28,6 +30,8 @@ from nvalued.topology import (
     MAX_SAMPLES,
     ConsistencyFailure,
     IdentityViolation,
+    SingularOrbitData,
+    SphereOrbit,
     check_suspension,
     classify,
     riemann_hurwitz_check,
@@ -36,7 +40,12 @@ from nvalued.topology import (
     tau_has_fixed_points,
 )
 
-from .conftest import conj_oracle, qmul_oracle, rotation_oracle
+from .conftest import (
+    conj_oracle,
+    qmul_oracle,
+    rotation_oracle,
+    singular_orbits_oracle,
+)
 
 EXPECTED_SIGNATURES = {
     "C2": (2, 2), "C3": (3, 3), "C4": (4, 4), "C5": (5, 5),
@@ -237,6 +246,23 @@ class TestSingularOrbits:
     @pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.label)
     def test_branching_identity(self, spec):
         assert riemann_hurwitz_check(build_group(spec))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [*catalog(), *map(GroupSpec.parse, ("C97", "D100", "C1000", "D500"))],
+        ids=str,
+    )
+    def test_orbits_and_their_points_are_in_rounded_key_order(self, spec):
+        group = build_group(spec)
+        assert repr(singular_orbits(group)) == repr(singular_orbits_oracle(group))
+
+    def test_branching_identity_counts_in_integers(self, monkeypatch):
+        # three orbits of stabilizer 4 under C4: 4 (2 - 3 (1 - 1/4)) = -1
+        pole = SphereOrbit((Vec3(0.0, 0.0, 1.0),), 4)
+        fake = SingularOrbitData((pole, pole, pole))
+        monkeypatch.setattr(topology, "singular_orbits", lambda group: fake)
+        with pytest.raises(IdentityViolation, match="gives -1, expected 2"):
+            riemann_hurwitz_check(build_group(GroupSpec.parse("C4")))
 
     def test_branching_identity_rejects_fake_data(self):
         # moving one in-plane half-turn off its axis breaks the orbit
