@@ -21,6 +21,7 @@ import numpy as np
 
 from .coset import (
     CosetSpace,
+    _blocks,
     _canonical,
     _distances_to_identity,
     _match,
@@ -86,8 +87,8 @@ def _run_trials(
 ) -> AxiomReport:
     """Run `trials` trials a block at a time: `block_fn(rng, count)` draws
     the next `count` trials from one seeded generator, in the order the trials
-    would draw them one by one, and returns their deviations.  A block
-    holds at most BLOCK_VALUES product values, or one trial.
+    would draw them one by one, and returns their deviations.  `_blocks`
+    cuts them into blocks of at most BLOCK_VALUES product values, or one trial.
 
     A trial fails unless its deviation is at most `tol`, so a non-finite
     deviation is a failure, and it is reported as an infinite one.  A check
@@ -98,11 +99,10 @@ def _run_trials(
     if not 0.0 < tol < MAX_TOL:
         raise ValueError(f"tolerance must be > 0 and < sqrt(2), got {tol!r}")
     rng = np.random.default_rng(seed)
-    size = max(1, BLOCK_VALUES // values_per_trial)
     dev = np.concatenate(
         [
-            np.asarray(block_fn(rng, min(size, trials - start)), dtype=float)
-            for start in range(0, trials, size)
+            np.asarray(block_fn(rng, b.stop - b.start), dtype=float)
+            for b in _blocks(trials, BLOCK_VALUES // values_per_trial)
         ]
     )
     worst = np.where(np.isfinite(dev), dev, np.inf).max()

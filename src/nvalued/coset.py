@@ -64,7 +64,7 @@ class Base(Enum):
 
 
 # A sweep over many rows runs in blocks of rows that have at most this many
-# images under the acting maps, so that its temporaries stay in cache.
+# images under the maps it sweeps, so that its temporaries stay in cache.
 SWEEP_BLOCK = 1 << 16
 
 # Matching canonicalizes kept trials in sweeps of at most this many images:
@@ -95,6 +95,10 @@ class CosetSpace:
     distances reduce over.  Canonicalization sweeps only the vector part,
     by the 3x3 rotation blocks of the acting maps, kept coordinate-major
     as a (3, 3*n) stack (column c*n + i holds row c of the i-th rotation).
+    A sweep of many points is cut by `_blocks` into blocks of at most
+    SWEEP_BLOCK images: SWEEP_BLOCK // n rows to canonicalize, and
+    SWEEP_BLOCK // k rows for orbit distances, with k = n on the quaternion
+    base and 2n on the rotation base.
     """
 
     def __init__(self, group: RotationGroup, base: Base | str):
@@ -105,8 +109,8 @@ class CosetSpace:
         self._act_stack = act.reshape(-1, 4)
         self._canon_cols = canon.transpose(1, 0, 2).reshape(-1, 4)
         self._rot_cols = act[:, 1:, 1:].transpose(2, 1, 0).reshape(3, -1)
-        # Rows per block of a sweep of many points.
-        self._block_rows = max(1, SWEEP_BLOCK // len(act))
+        self._block_rows = SWEEP_BLOCK // len(act)
+        self._distance_rows = SWEEP_BLOCK // len(canon)
 
     @property
     def n(self) -> int:
@@ -208,13 +212,14 @@ def _rows(orbits) -> tuple[CosetSpace | None, np.ndarray]:
     return space, np.array([o.rep for o in orbits], dtype=float)
 
 
-def _blocks(space: CosetSpace, m: int) -> list[slice]:
-    """Row slices of an m-row batch, each of at most `_block_rows` rows.
-    The blocks are of equal size (within one row), so a batch of several
-    rows never leaves a one-row block: numpy computes a one-row sweep by
-    another BLAS routine, whose last bits differ, and a block's result
-    would then depend on how the batch was cut."""
-    count = max(1, -(-m // space._block_rows))
+def _blocks(m: int, size: int) -> list[slice]:
+    """The slices that cut every batch of m rows: into blocks of at most
+    `size` rows (one, if `size` is below 1), of equal size within one row.
+    So a batch of several rows leaves no one-row block unless `size` is
+    below 3: numpy computes a one-row sweep by another BLAS routine,
+    whose last bits differ, and a block's result would then depend on how
+    the batch was cut."""
+    count = max(1, -(-m // max(1, size)))
     edges = [m * i // count for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
@@ -232,9 +237,8 @@ def _canonical(space: CosetSpace, points: np.ndarray) -> np.ndarray:
     """
     if len(points) <= space._block_rows:
         return _canonical_block(space, points)
-    return np.concatenate(
-        [_canonical_block(space, points[b]) for b in _blocks(space, len(points))]
-    )
+    blocks = _blocks(len(points), space._block_rows)
+    return np.concatenate([_canonical_block(space, points[b]) for b in blocks])
 
 
 def _canonical_block(space: CosetSpace, points: np.ndarray) -> np.ndarray:
@@ -292,19 +296,16 @@ def _nearest(points: np.ndarray, images: np.ndarray) -> np.ndarray:
     return np.sqrt((diffs * diffs).sum(axis=-1)).min(axis=-1, initial=np.inf)
 
 
-def _distances(
-    space: CosetSpace, points: np.ndarray, values: np.ndarray
-) -> np.ndarray:
+def _distances(space: CosetSpace, points: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Orbit distance from each row of `points` (or from one point, a
-    (4,) array) to the orbit of the same row of `values`, swept in blocks."""
-    points = np.broadcast_to(points, values.shape)
-    if len(values) <= space._block_rows:
+    (4,) array) to the orbit of the same row of `values` (or of its one
+    row), swept in blocks: the one orbit-distance kernel."""
+    if len(values) <= space._distance_rows:
         return _nearest(points, space.canon_images(values))
+    points = np.broadcast_to(points, values.shape)
+    blocks = _blocks(len(values), space._distance_rows)
     return np.concatenate(
-        [
-            _nearest(points[b], space.canon_images(values[b]))
-            for b in _blocks(space, len(values))
-        ]
+        [_nearest(points[b], space.canon_images(values[b])) for b in blocks]
     )
 
 
@@ -348,14 +349,7 @@ def orbit_distance(x: Orbit, y: Orbit) -> float:
     """Distance between orbits: min over the orbit of y of the distance to
     the representative of x."""
     _check_space(x.space, (y.space,))
-    return _orbit_gap(x.space, x.rep, y.rep)
-
-
-def _orbit_gap(space: CosetSpace, x, y) -> float:
-    """orbit_distance between two representatives, each given as 4 floats,
-    by a one-row sweep of the orbit of y."""
-    images = space.canon_images(np.array([y]))[0]
-    return float(_nearest(np.array(x), images))
+    return float(_distances(x.space, np.array(x.rep), np.array([y.rep]))[0])
 
 
 def product_from_representatives(
@@ -451,10 +445,10 @@ def _match(space: CosetSpace, a: np.ndarray, b: np.ndarray, tol: float) -> np.nd
         return dev
     t, m = len(keep), a.shape[1]
     sides = np.concatenate([a[keep], b[keep]])
-    rows, count = sides.reshape(-1, 4), -(-2 * t * m * space.n // _MATCH_SWEEP)
-    edges = [len(rows) * i // count for i in range(count + 1)]
-    canon = [_canonical(space, rows[s:e]) for s, e in zip(edges, edges[1:])]
-    canon = np.concatenate(canon).reshape(2 * t, m, 4)
+    rows = sides.reshape(-1, 4)
+    blocks = _blocks(len(rows), _MATCH_SWEEP // space.n)
+    canon = np.concatenate([_canonical(space, rows[b]) for b in blocks])
+    canon = canon.reshape(2 * t, m, 4)
     order = (np.arange(2 * t)[:, None], rounded_order(canon))
     ca, cb = canon[order].reshape(2, t, m, 4)
     w = _real_parts(space, sides)[order].reshape(2, t, m)
@@ -477,8 +471,8 @@ def _match(space: CosetSpace, a: np.ndarray, b: np.ndarray, tol: float) -> np.nd
             edges = np.flatnonzero(cut[i])
             for run in (slice(s, e) for s, e in zip(edges, edges[1:])):
                 if failed[i, run].any():
-                    images = space.canon_images(cb[i, run])
-                    dm = np.stack([_nearest(ca[i, run], im) for im in images], axis=1)
+                    sweep = [_distances(space, ca[i, run], v[None]) for v in cb[i, run]]
+                    dm = np.stack(sweep, axis=1)
                     rows, cols = linear_sum_assignment(dm)
                     pair[i, run] = dm[rows, cols]
     dev[keep] = pair.max(axis=1)
@@ -504,19 +498,25 @@ def grouped_orbits(orbits) -> list[tuple[Orbit, int]]:
 
     Every image of a point has real part +-w, so orbits whose |w| differ
     by more than EPS_POINT are further apart than that; only groups within
-    twice that (to cover rounding) get the orbit distance."""
+    twice that (to cover rounding) get the orbit distance.  They lie in
+    the value's bin of |w|, 4 EPS_POINT wide, or the two beside it, a
+    window that no rounding narrows to 2 EPS_POINT; a non-finite |w| has a
+    NaN bin, which no lookup finds."""
     space, reps = _rows(orbits)
     groups: list[list] = []  # [first representative, multiplicity]
+    bins: dict[float, list[int]] = {}  # groups by the bin of their first |w|
     for row in reps[rounded_order(reps)].tolist():
         w = abs(row[0])
-        for group in groups:
-            first = group[0]
+        key = w // (4.0 * EPS_POINT)
+        for i in sorted(sum((bins.get(key + d, []) for d in (-1, 0, 1)), [])):
+            first = groups[i][0]
             if abs(abs(first[0]) - w) <= 2.0 * EPS_POINT and (
-                _orbit_gap(space, first, row) <= EPS_POINT
+                _distances(space, np.array(first), np.array([row]))[0] <= EPS_POINT
             ):
-                group[1] += 1
+                groups[i][1] += 1
                 break
         else:
+            bins.setdefault(key, []).append(len(groups))
             groups.append([row, 1])
     return [(Orbit(space, Quaternion(*first)), count) for first, count in groups]
 

@@ -10,7 +10,7 @@ from hypothesis import assume, strategies as st
 
 import nvalued
 from nvalued import coset
-from nvalued.coset import Base, CosetSpace, Orbit, _orbit_gap, _orbits, _product, _rows
+from nvalued.coset import Base, CosetSpace, Orbit, _distances, _orbits, _product, _rows
 from nvalued.quaternion import (
     Quaternion,
     Vec3,
@@ -188,7 +188,7 @@ def singular_orbits_oracle(group: RotationGroup) -> SingularOrbitData:
 
 def grouped_orbits_oracle(orbits) -> list[tuple[Orbit, int]]:
     """grouped_orbits over the representatives sorted as Python lists by
-    rounded_key."""
+    rounded_key, each value checked against every earlier group."""
     space, reps = _rows(orbits)
     groups: list[list] = []
     for row in sorted(reps.tolist(), key=rounded_key):
@@ -196,7 +196,7 @@ def grouped_orbits_oracle(orbits) -> list[tuple[Orbit, int]]:
         for group in groups:
             first = group[0]
             if abs(abs(first[0]) - w) <= 2.0 * EPS_POINT and (
-                _orbit_gap(space, first, row) <= EPS_POINT
+                _distances(space, np.array(first), np.array([row]))[0] <= EPS_POINT
             ):
                 group[1] += 1
                 break

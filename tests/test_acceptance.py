@@ -5,6 +5,7 @@ unit tests.  Run with `pytest tests/test_acceptance.py -v` for the one-line
 pass/fail summary per criterion.
 """
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -178,6 +179,13 @@ def test_criterion_7_suspension_and_branching():
             assert riemann_hurwitz_check(group) is True, spec.label
 
 
+# sha256 of `verify --all --json --seed 0`: every output byte of the default
+# verify run, pinned as the golden digests pin the other subcommands.
+VERIFY_SEED_0_DIGEST = (
+    "5b50919f7a3d9d2c7e38c51b03e009e81a07a3093993d885f791f59618681c1b"
+)
+
+
 def test_criterion_8_deterministic_verify():
     cmd = [
         sys.executable, "-m", "nvalued.cli",
@@ -190,3 +198,4 @@ def test_criterion_8_deterministic_verify():
     assert second.returncode == 0, second.stderr.decode()
     assert first.stdout == second.stdout
     assert len(first.stdout) > 0
+    assert hashlib.sha256(first.stdout).hexdigest() == VERIFY_SEED_0_DIGEST

@@ -75,6 +75,22 @@ def test_non_finite_deviation_among_finite_ones_is_reported_as_inf():
     assert report.max_deviation == math.inf
 
 
+@pytest.mark.parametrize(
+    "trials, values_per_trial",
+    [(1, 1), (200, 120), (33, 2048), (200, 2000), (20, 2 * 1000**2), (7, 1 << 16)],
+)
+def test_run_trials_hands_block_fn_the_blocks(trials, values_per_trial):
+    counts = []
+    _run_trials(
+        make_space("C2", "sp1"), "identity", trials, 0, 1e-6, values_per_trial,
+        lambda rng, k: counts.append(k) or [0.0] * k,
+    )
+    blocks = coset._blocks(trials, axioms.BLOCK_VALUES // values_per_trial)
+    assert counts == [len(range(trials)[b]) for b in blocks]
+    assert sum(counts) == trials
+    assert max(counts) * values_per_trial <= max(values_per_trial, axioms.BLOCK_VALUES)
+
+
 def match_deviation(space, a, b, tol):
     """The deviation of _match on one trial: two (m, 4) arrays of values."""
     return float(_match(space, a[None], b[None], tol)[0])

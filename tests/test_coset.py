@@ -125,8 +125,7 @@ def reference_canonical(space, point):
 def nearest_image(space, points, reps):
     """Distance from each row of `reps` to the nearest image of the same
     row of `points`, normalized, under the maps that canon_images sweeps."""
-    images = space.canon_images(normalized_rows(points))
-    return np.linalg.norm(images - reps[:, None], axis=2).min(axis=1)
+    return coset._distances(space, reps, normalized_rows(points))
 
 
 def reps(orbits):
@@ -163,6 +162,19 @@ def singular_points(space, rng):
     return np.concatenate(points)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5000), st.integers(-1, 5000))
+def test_blocks_cut_a_batch_into_equal_blocks(m, size):
+    blocks = coset._blocks(m, size)
+    assert [i for b in blocks for i in range(m)[b]] == list(range(m))
+    sizes = [len(range(m)[b]) for b in blocks]
+    assert max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= max(1, size)
+    assert len(blocks) == max(1, -(-m // max(1, size)))
+    if m >= 2 and size >= 3:
+        assert min(sizes) >= 2
+
+
 class TestProject:
     @pytest.mark.parametrize("label, base", CATALOG_SPACES)
     def test_batch_matches_per_point_reference(self, label, base, rng):
@@ -188,7 +200,7 @@ class TestProject:
         # some rows on the equator, where both lift signs are compared
         points[::97, 0] = 0.0
         points = normalized_rows(points)
-        blocks = coset._blocks(s, m)
+        blocks = coset._blocks(m, s._block_rows)
         assert [i for b in blocks for i in range(m)[b]] == list(range(m))
         assert max(b.stop - b.start for b in blocks) <= s._block_rows
         blocked = _canonical(s, points)
@@ -603,6 +615,50 @@ class TestOrbitDistance:
                 orbit_distance(x, y) + orbit_distance(y, z) + 1e-12
             )
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_blocked_distances_equal_one_block(self, offset, rng, monkeypatch):
+        # Distances sweep the k maps of the canon family, 2n on so3, so a
+        # block holds at most SWEEP_BLOCK images there too.
+        s = make_space("I", "so3")
+        m = s._distance_rows + offset
+        assert s._distance_rows == coset.SWEEP_BLOCK // (2 * s.n)
+        points, values = random_units(rng, 2 * m).reshape(2, m, 4)
+        values[::97, 0] = 0.0
+        values = normalized_rows(values)
+        blocked = coset._distances(s, points, values)
+        monkeypatch.setattr(s, "_distance_rows", m)
+        assert np.array_equal(blocked, coset._distances(s, points, values))
+
+    @pytest.mark.parametrize("label, base", CATALOG_SPACES)
+    def test_orbit_distance_is_the_batched_kernel_bit_for_bit(
+        self, label, base, rng
+    ):
+        # on the singular set, on the so3 equator and at generic points
+        s = make_space(label, base)
+        equator = random_units(rng, 20)
+        equator[:, 0] = 0.0
+        rows = np.concatenate(
+            [singular_points(s, rng), normalized_rows(equator), random_units(rng, 50)]
+        )
+        reps = _canonical(s, rows)
+        points = reps[rng.permutation(len(reps))]
+        pairs = list(zip(points, reps))
+        got = [
+            orbit_distance(Orbit(s, Quaternion(*p)), Orbit(s, Quaternion(*v)))
+            for p, v in pairs
+        ]
+        # the (4,) and the (m, 4) point form of a one-row sweep
+        assert got == [coset._distances(s, p, v[None])[0] for p, v in pairs]
+        assert got == [coset._distances(s, p[None], v[None])[0] for p, v in pairs]
+        # a sweep of many rows: one point broadcasts as its (m, 4) stack does
+        for p in points[:4]:
+            stack = np.tile(p, (len(reps), 1))
+            assert np.array_equal(
+                coset._distances(s, p, reps), coset._distances(s, stack, reps)
+            )
+        # numpy sweeps one row by another BLAS routine than many
+        assert np.abs(coset._distances(s, points, reps) - got).max() <= 1e-15
+
 
 class TestMultisets:
     def test_shuffle_invariance(self, rng):
@@ -764,6 +820,53 @@ class TestMultisets:
             values = Orbits(s, near_half_way(rng, orbit_product(x, y).reps))
             got = [(o.rep, m) for o, m in grouped_orbits(values)]
             assert got == [(o.rep, m) for o, m in grouped_orbits_oracle(values)]
+
+    @pytest.mark.parametrize("base", ["sp1", "so3"])
+    @pytest.mark.parametrize("label", ["C1000", "D500", "I"])
+    def test_grouping_equals_the_oracle_on_large_products(self, label, base, rng):
+        # The first pair gives values of pairwise equal |w| on C1000 and
+        # D500, so most of them are measured against a group.
+        s = make_space(label, base)
+        a, b = random_units(rng, 2)
+        for p, q in (((0.6, 0.8, 0.0, 0.0), (0.0, 0.0, 0.6, 0.8)), (a, b)):
+            x, y = project(s, Quaternion(*p)), project(s, Quaternion(*q))
+            product = orbit_product(x, y)
+            for values in (product, Orbits(s, near_half_way(rng, product.reps))):
+                got = [(o.rep, m) for o, m in grouped_orbits(values)]
+                assert got == [(o.rep, m) for o, m in grouped_orbits_oracle(values)]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_grouping_joins_the_first_group_across_bins(self, sign):
+        # On C1 the orbit distance is the plain distance.  a and c are two
+        # groups (1.22 EPS_POINT apart) on either side of an edge of the
+        # |w| bins; b, last in rounded order, lies within EPS_POINT of both
+        # and joins a, the first of them, whichever bin holds it.
+        s = make_space("C1", "sp1")
+        e = EPS_POINT
+        levels = 0.5 + np.array([-0.1, 0.1, 0.2]) * sign * e
+        a, c, b = (
+            Orbit(s, Quaternion(sign * w, x, 0.8, 0.0))
+            for w, x in zip(levels, (-0.6 * e, 0.6 * e, 0.0))
+        )
+        bins = [abs(o.rep.w) // (4.0 * e) for o in (a, c)]
+        assert abs(bins[0] - bins[1]) == 1
+        grouped = grouped_orbits([b, c, a])
+        assert [(o.rep, m) for o, m in grouped] == [(a.rep, 2), (c.rep, 1)]
+
+    def test_grouping_keeps_non_finite_values_apart(self, rng):
+        # each forms a group of its own, and the finite values group alone
+        s = make_space("O", "so3")
+        x, y = random_point(s, rng), random_point(s, rng)
+        reps = orbit_product(x, y).reps.copy()
+        reps[[3, 7]] = np.nan
+        reps[[5, 11], 0] = np.inf
+        with np.errstate(invalid="ignore"):  # rounded_order subtracts inf - inf
+            grouped = [(o.rep, m) for o, m in grouped_orbits(Orbits(s, reps))]
+        finite = Orbits(s, reps[np.isfinite(reps[:, 0])])
+        assert [g for g in grouped if math.isfinite(g[0].w)] == [
+            (o.rep, m) for o, m in grouped_orbits(finite)
+        ]
+        assert [m for q, m in grouped if not math.isfinite(q.w)] == [1] * 4
 
     def test_grouping_keeps_distinct_orbits_of_equal_abs_w_apart(self):
         s = make_space("C3", "so3")
