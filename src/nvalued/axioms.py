@@ -34,16 +34,11 @@ from .coset import (
 )
 from .quaternion import _CONJ_SIGN, canonical_sign, left_matrix, normalized_rows
 from .rotgroups import RotationGroup
-from .tolerances import TOL_AXIOM
+from .tolerances import MAX_TOL, TOL_AXIOM
 
 # A block of trials holds at most this many product values (or one trial,
 # when a trial alone has more), so memory does not grow with the trial count.
 BLOCK_VALUES = 1 << 16
-
-# No two orbits are further apart than sqrt(2) on so3 (the nearer lift is
-# at most that far) or 2 on sp1, so a tolerance of sqrt(2) or more would
-# pass checks without testing anything.
-MAX_TOL = math.sqrt(2.0)
 
 AXIOM_NAMES = ("identity", "inverse", "associativity", "well_defined")
 
@@ -148,14 +143,16 @@ def check_inverse(
 ) -> AxiomReport:
     """The identity class must appear among the products of a point with
     its inverse, on both sides.  Deviation is the distance from the nearest
-    product entry to the identity."""
+    raw product value to the identity, which no orbit map moves.  x and its
+    inverse are canonical: the values of a set that is not closed depend on them."""
     n = space.n
 
     def block(rng: np.random.Generator, count: int) -> np.ndarray:
         x = _sample(space, rng, count)
         # orbit_inverse: the orbit of the conjugate
         ix = _canonical(space, x * _CONJ_SIGN)
-        values = np.concatenate([_product(space, x, ix), _product(space, ix, x)])
+        both = [_raw_product(space, x, ix), _raw_product(space, ix, x)]
+        values = normalized_rows(np.concatenate(both).reshape(-1, 4))
         dist = _distances_to_identity(space, values).reshape(2, count, n)
         return dist.min(axis=2).max(axis=0).tolist()
 
@@ -168,15 +165,6 @@ def default_triples(space: CosetSpace) -> int:
     return 20 if space.n >= 60 else 50
 
 
-def _permutations(index: np.ndarray) -> np.ndarray:
-    """Whether each row of an (m, k) array of indices in [0, k) is a
-    permutation: k indices that hit all k slots."""
-    m, k = index.shape
-    hit = np.zeros((m, k), dtype=bool)
-    hit[np.arange(m)[:, None], index] = True
-    return hit.all(axis=1)
-
-
 def _paired_associativity(
     space: CosetSpace, x: np.ndarray, y: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
@@ -187,7 +175,7 @@ def _paired_associativity(
     Value (i, j) of (x y) z is x g_i(y) g_j(z), and value (l, k) of
     x (y z) is x g_k(y) (g_k g_l)(z), so the two are equal at k = i and
     g_l = g_i^-1 g_j.  The deviation is the largest distance between
-    paired values; it is inf unless the pairing is a bijection."""
+    paired values; a row of the Latin square `mul` makes it a bijection."""
     mul, inv = space.group._table
     n, m = space.n, len(x)
     xy = _raw_product(space, x, y).reshape(-1, 4)
@@ -198,8 +186,7 @@ def _paired_associativity(
     i = np.arange(n)[:, None]
     pair = (mul[inv[i], np.arange(n)] * n + i).ravel()
     diffs = left - right[:, pair]
-    dev = np.sqrt(np.einsum("tvc,tvc->tv", diffs, diffs)).max(axis=1)
-    return np.where(_permutations(pair[None]), dev, np.inf)
+    return np.sqrt(np.einsum("tvc,tvc->tv", diffs, diffs)).max(axis=1)
 
 
 def _paired_well_defined(
@@ -211,8 +198,8 @@ def _paired_well_defined(
     indices into `canon_images` of the maps s a and t b: the element modulo
     n, and a lift sign s or t of -1 from n on.  The j-th moved value
     s t a(p) g_j(b(q)) is s t a(p g_i(q)) with g_i = a^-1 g_j b, so it is
-    paired with that image of the i-th value; the deviation is inf unless
-    the pairing is a bijection."""
+    paired with that image of the i-th value: through a row and a column
+    of the Latin square `mul`, a bijection."""
     mul, inv = space.group._table
     n, m = space.n, len(want)
     a, b = (moves % n).T
@@ -222,8 +209,7 @@ def _paired_well_defined(
     # s t is -1 where exactly one of the two maps negates
     sign = np.where((moves[:, 0] >= n) ^ (moves[:, 1] >= n), -1.0, 1.0)
     diffs = got - sign[:, None, None] * moved
-    dev = np.sqrt(np.einsum("tjc,tjc->tj", diffs, diffs)).max(axis=1)
-    return np.where(_permutations(index), dev, np.inf)
+    return np.sqrt(np.einsum("tjc,tjc->tj", diffs, diffs)).max(axis=1)
 
 
 def check_associativity(

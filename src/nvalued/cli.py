@@ -19,11 +19,11 @@ import os
 import sys
 from typing import Optional
 
-from .axioms import MAX_TOL, run_all
+from .axioms import run_all
 from .coset import Base, CosetSpace, grouped_orbits, orbit_product, project
 from .quaternion import Quaternion, rounded_key
 from .rotgroups import GroupSpec, build_group, catalog, element_order
-from .tolerances import TOL_AXIOM
+from .tolerances import MAX_TOL, TOL_AXIOM
 from .topology import MAX_SAMPLES, ConsistencyFailure, IdentityViolation, classify
 
 NEAR_UNIT = 1e-3

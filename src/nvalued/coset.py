@@ -51,7 +51,7 @@ from .quaternion import (
     rounded_order,
 )
 from .rotgroups import RotationGroup
-from .tolerances import EPS_POINT
+from .tolerances import EPS_POINT, MAX_TOL
 
 
 class Base(Enum):
@@ -396,9 +396,11 @@ def match_multisets(a, b, tol: float) -> tuple[bool, float]:
     Returns (matched, deviation), matched exactly when the deviation is at
     most tol; see `_match` for what the deviation measures.
 
-    Raises SizeMismatch for multisets of different sizes and ValueError
-    for orbits of different spaces.
+    Raises SizeMismatch for multisets of different sizes, and ValueError
+    for orbits of different spaces or a tol outside (0, sqrt(2)) or NaN.
     """
+    if not 0.0 < tol < MAX_TOL:
+        raise ValueError(f"tolerance must be > 0 and < sqrt(2), got {tol!r}")
     if len(a) != len(b):
         raise SizeMismatch(f"multisets of size {len(a)} vs {len(b)}")
     if not a:

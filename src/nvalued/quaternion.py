@@ -98,7 +98,9 @@ def rounded_order(rows: np.ndarray) -> np.ndarray:
     point at the 12th decimal, the only ones where it can round otherwise,
     are rounded again by Python's `round`."""
     keys = np.round(rows, 12)
-    near = np.abs(np.abs(rows - keys) - _HALF_WAY) <= _HALF_WAY_MARGIN
+    # an infinite coordinate gives inf - inf = NaN here: near no half-way point
+    with np.errstate(invalid="ignore"):
+        near = np.abs(np.abs(rows - keys) - _HALF_WAY) <= _HALF_WAY_MARGIN
     if near.any():
         keys[near] = [round(c, 12) for c in rows[near].tolist()]
     return np.lexsort(np.moveaxis(keys, -1, 0)[::-1], axis=-1)
@@ -118,9 +120,10 @@ def normalized_rows(q: np.ndarray) -> np.ndarray:
     row comes out bit for bit as Quaternion(*row).normalized().  It checks
     nothing, being on the hot path: rows must be finite with a norm that
     neither overflows nor nears 0.  `project` checks the quaternion it is
-    given; every other row is a normal draw in `random_units` or, in the
-    canonicalization kernel, a uniform draw, a conjugate or a product of
-    unit quaternions."""
+    given; every other row is a normal draw in `random_units`, a product
+    of unit quaternions in the inverse check and in `corrupted_copy`, or,
+    in the canonicalization kernel, a uniform draw, a conjugate or a
+    product of unit quaternions."""
     w, x, y, z = (q * q).T
     return q / np.sqrt(w + x + y + z)[:, None]
 

@@ -63,8 +63,10 @@ class GroupSpec:
 
     def __post_init__(self):
         if self.family in ("C", "D"):
-            if self.param is None or self.param < 1:
-                raise ValueError(f"family {self.family!r} needs a parameter >= 1")
+            p = self.param
+            if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
+                need = f"family {self.family!r} needs an integer parameter >= 1"
+                raise ValueError(f"{need}, got {p!r}")
         elif self.family in ("T", "O", "I"):
             if self.param is not None:
                 raise ValueError(f"family {self.family!r} takes no parameter")
@@ -242,24 +244,27 @@ class RotationGroup:
 
     @cached_property
     def _table(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """The multiplication table, whose entry [i, j] is the index of
-        g_i g_j, and the inverse table, whose entry i is the index of
-        g_i^-1; None when a product or an inverse is not an element, as for
-        a set that is not closed.  A product of two stored lifts is either
-        lift of an element, so both are looked up."""
+        """The multiplication table, whose entry [i, j] is the index of g_i g_j
+        (either lift), and the inverse table, whose entry i is that of g_i^-1:
+        the one decision of a group law.  None unless every product is an
+        element and each row and column is a permutation (a Latin square, so
+        the identity is in each row), as for a set that is not closed."""
         rows = self.element_rows
         n = len(rows)
-        products = (left_matrix(rows) @ rows.T).transpose(0, 2, 1).reshape(-1, 4)
+        products = (rows @ left_matrix(rows).transpose(0, 2, 1)).reshape(-1, 4)
         found = match_rows(rows, products)
         miss = np.flatnonzero(found < 0)
         found[miss] = match_rows(rows, -products[miss])
         if (found < 0).any():
             return None
         mul = found.reshape(n, n)
-        is_identity = mul == self.identity_index
-        if not is_identity.any(axis=1).all():
-            return None
-        return mul, is_identity.argmax(axis=1)
+        step = np.arange(n)
+        for cells in (mul + step[:, None] * n, mul * n + step):
+            hit = np.zeros(n * n, dtype=bool)
+            hit[cells.ravel()] = True
+            if not hit.all():
+                return None
+        return mul, (mul == self.identity_index).argmax(axis=1)
 
 
 @lru_cache(maxsize=None)

@@ -12,5 +12,8 @@ EPS_POINT = 1e-9
 # compounds rounding error.
 TOL_AXIOM = 1e-6
 
+# No two so3 orbits are further apart than sqrt(2); so large a tol tests nothing.
+MAX_TOL = 2.0**0.5
+
 # Real-part preservation budget for conjugation.
 TOL_RE = 1e-12

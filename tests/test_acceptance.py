@@ -182,7 +182,7 @@ def test_criterion_7_suspension_and_branching():
 # sha256 of `verify --all --json --seed 0`: every output byte of the default
 # verify run, pinned as the golden digests pin the other subcommands.
 VERIFY_SEED_0_DIGEST = (
-    "5b50919f7a3d9d2c7e38c51b03e009e81a07a3093993d885f791f59618681c1b"
+    "01e93e00e044e3218f25b68d291761af18788ff133ed72114cf77679e49e64ea"
 )
 
 

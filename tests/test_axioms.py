@@ -36,7 +36,7 @@ from nvalued.coset import (
     orbit_product,
     random_point,
 )
-from nvalued.quaternion import conj_matrix, random_units
+from nvalued.quaternion import _CONJ_SIGN, conj_matrix, random_units
 from nvalued.rotgroups import GroupSpec, RotationGroup, build_group, catalog
 from nvalued.tolerances import TOL_AXIOM
 
@@ -447,6 +447,36 @@ def test_run_all_that_would_test_nothing_raises(samples, triples, tol):
         run_all(make_space("C3", "sp1"), samples=samples, triples=triples, tol=tol)
 
 
+def canonical_inverse_report(space, samples, seed):
+    """check_inverse with every product value canonicalized before its
+    distance to the identity is taken: the reference that the check on
+    raw values must agree with up to rounding."""
+    n = space.n
+
+    def block(rng, count):
+        x = _sample(space, rng, count)
+        ix = coset._canonical(space, x * _CONJ_SIGN)
+        values = np.concatenate([_product(space, x, ix), _product(space, ix, x)])
+        dist = coset._distances_to_identity(space, values).reshape(2, count, n)
+        return dist.min(axis=2).max(axis=0)
+
+    return _run_trials(space, "inverse", samples, seed, TOL_AXIOM, 2 * n, block)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inverse_on_raw_values_matches_the_canonicalizing_reference(
+    corrupted_spaces, seed
+):
+    # every map of an orbit is an isometry fixing +-1, so only rounding
+    # tells the distance of a raw value from that of its representative
+    spaces = [make_space(label, base) for label, base in CATALOG_SPACES]
+    for space in spaces + corrupted_spaces:
+        got = check_inverse(space, samples=200, seed=seed)
+        want = canonical_inverse_report(space, 200, seed)
+        assert (got.trials, got.failures) == (want.trials, want.failures), space
+        assert abs(got.max_deviation - want.max_deviation) <= 1e-15, (got, want)
+
+
 def test_inverse_check_sees_a_break_too():
     # the corrupted set is not closed, so even the inverse containment
     # usually drifts; do not assert failure, just that it runs and reports
@@ -478,15 +508,19 @@ def test_a_wrong_table_fails_every_trial(label, base):
 
 
 @pytest.mark.parametrize("base", ["sp1", "so3"])
-def test_a_pairing_that_is_no_bijection_fails_as_inf(base):
-    mul, inv = build_group(GroupSpec.parse("T"))._table
-    space = with_table("T", base, (np.zeros_like(mul), inv))
-    for report in (
-        check_associativity(space, triples=3, seed=0),
-        check_well_defined(space, samples=3, seed=0),
-    ):
-        assert report.failures == report.trials == 3, report
-        assert report.max_deviation == math.inf
+@pytest.mark.parametrize("label", ["C3", "T"])
+def test_a_duplicated_row_gets_no_table_and_fails_by_matching(label, base):
+    # Every product is an element, but the table of n + 1 rows is no Latin
+    # square, so the pairing would be no bijection: there is no table, and
+    # the check runs the matcher, which fails every trial.
+    group = build_group(GroupSpec.parse(label))
+    i = 1 if group.identity_index == 0 else 0
+    rows = np.concatenate([group.element_rows, group.element_rows[i : i + 1]])
+    dup = RotationGroup(group.spec, rows)
+    assert dup._table is None
+    report = check_associativity(CosetSpace(dup, base), triples=5, seed=0)
+    assert report.failures == report.trials == 5, report
+    assert 0.05 < report.max_deviation < 1.0
 
 
 def generic_reports(space, triples, samples, seed, tol=TOL_AXIOM, product=_product):
@@ -547,8 +581,7 @@ CATALOG_SPACES = [(s.label, base) for s in catalog() for base in ("sp1", "so3")]
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_witnessed_pairing_is_exact_up_to_rounding(label, base, seed):
     # The table pairs raw values, so both kernels measure rounding alone.
-    # A pairing that is no bijection reads inf, so a bound on every
-    # deviation also says that each trial was paired one to one.
+    # `_table` is a Latin square, so each trial is paired one to one.
     space = make_space(label, base)
     rng = np.random.default_rng(seed)
     x, y, z = random_units(rng, 9).reshape(3, 3, 4)

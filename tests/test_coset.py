@@ -681,6 +681,16 @@ class TestMultisets:
         with pytest.raises(SizeMismatch):
             match_multisets([e], [e, e], 1e-9)[0]
 
+    @pytest.mark.parametrize(
+        "tol", [math.inf, math.nan, 0.0, -1.0, math.sqrt(2.0), 5.0]
+    )
+    def test_a_tolerance_that_tests_nothing_raises(self, rng, tol):
+        # two different products of I@so3 would match within such a tol
+        s = make_space("I", "so3")
+        x, y, z = (random_point(s, rng) for _ in range(3))
+        with pytest.raises(ValueError, match="tolerance must be > 0 and < sqrt"):
+            match_multisets(orbit_product(x, y), orbit_product(x, z), tol)
+
     def test_single_swapped_entry_fails(self, rng):
         s = make_space("C4", "sp1")
         x, y = random_point(s, rng), random_point(s, rng)
@@ -860,8 +870,7 @@ class TestMultisets:
         reps = orbit_product(x, y).reps.copy()
         reps[[3, 7]] = np.nan
         reps[[5, 11], 0] = np.inf
-        with np.errstate(invalid="ignore"):  # rounded_order subtracts inf - inf
-            grouped = [(o.rep, m) for o, m in grouped_orbits(Orbits(s, reps))]
+        grouped = [(o.rep, m) for o, m in grouped_orbits(Orbits(s, reps))]
         finite = Orbits(s, reps[np.isfinite(reps[:, 0])])
         assert [g for g in grouped if math.isfinite(g[0].w)] == [
             (o.rep, m) for o, m in grouped_orbits(finite)

@@ -325,6 +325,25 @@ def test_rounded_order_of_no_rows_is_empty():
     assert rounded_order(np.empty((3, 0, 4))).shape == (3, 0)
 
 
+def test_rounded_order_puts_infinite_and_nan_rows_in_place(rng):
+    # -inf first, +inf after every finite coordinate, NaN last, as a
+    # lexsort does, with no warning; the finite rows keep their order
+    rows = random_units(rng, 9)
+    rows[[2, 5]] = rows[[1, 4]]
+    rows[2, 2], rows[5, 3] = np.inf, -np.inf
+    rows[6, 0], rows[7, 0], rows[8, 1] = np.inf, -np.inf, np.nan
+    order = rounded_order(rows).tolist()
+
+    def key(i):
+        # c != c only for NaN, which sorts after every number
+        return [(c != c, 0.0 if c != c else c) for c in rounded_key(rows[i])]
+
+    assert order == sorted(range(9), key=key)
+    finite = [i for i in range(9) if np.isfinite(rows[i]).all()]
+    want = [finite[k] for k in rounded_order_oracle(rows[finite])]
+    assert [i for i in order if i in finite] == want
+
+
 def test_rounded_order_sorts_an_integer_first_column(rng):
     rows = np.column_stack(
         [rng.choice([2, 3, 5, 1000], size=200), random_units(rng, 200)[:, 1:]]

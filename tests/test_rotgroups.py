@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,20 @@ def test_spec_validation():
         GroupSpec("T", 3)
     with pytest.raises(ValueError):
         GroupSpec("Q", 2)
+
+
+@pytest.mark.parametrize("param", [2.5, True, "3", np.float64(3.0)])
+def test_spec_rejects_a_parameter_that_is_no_integer(param):
+    message = re.escape(f"needs an integer parameter >= 1, got {param!r}")
+    with pytest.raises(ValueError, match=message):
+        GroupSpec("C", param)
+
+
+def test_spec_takes_python_and_numpy_integers():
+    for param in (3, np.int64(3), np.int32(3)):
+        spec = GroupSpec("D", param)
+        assert (spec.label, spec.order) == ("D3", 6)
+        assert len(build_group(spec)) == 6
 
 
 def test_spec_accepts_order_at_limit():
