@@ -313,11 +313,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 
-    ok = all(
-        r.evidence.suspension and r.evidence.riemann_hurwitz and
-        r.evidence.parity_consistent
-        for r in reports
-    )
+    ok = all(r.passed for r in reports)
     if args.json:
         payload = [r.to_json_dict() for r in reports]
         _emit_json(
@@ -341,6 +337,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 f"branching identity={r.evidence.riemann_hurwitz}, "
                 f"parity consistent={r.evidence.parity_consistent}"
             )
+        print(f"overall: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 

@@ -274,6 +274,11 @@ class ClassificationReport:
     evidence: Evidence
     suspension_report: SuspensionReport
 
+    @property
+    def passed(self) -> bool:
+        e = self.evidence
+        return e.suspension and e.riemann_hurwitz and e.parity_consistent
+
     def to_json_dict(self) -> dict:
         return {
             "base": self.base.value,

@@ -213,10 +213,17 @@ def outcome(f, *args):
         return type(exc)
 
 
-@lru_cache(maxsize=None)
 def make_space(label: str, base: str) -> CosetSpace:
-    """Shared space cache so tests do not rebuild groups over and over."""
-    return CosetSpace(build_group(GroupSpec.parse(label)), Base(base))
+    """Shared space cache so tests do not rebuild groups over and over.  It
+    is keyed by the group object that build_group returns now, so a test
+    that clears build_group's cache cannot leave a space whose group no
+    longer mixes with a fresh build of the same spec."""
+    return _space(build_group(GroupSpec.parse(label)), Base(base))
+
+
+@lru_cache(maxsize=None)
+def _space(group: RotationGroup, base: Base) -> CosetSpace:
+    return CosetSpace(group, base)
 
 
 def count_assignments(monkeypatch) -> list[int]:

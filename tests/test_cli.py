@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from nvalued import cli
+from nvalued import cli, topology
 from nvalued.cli import build_parser, main
+from nvalued.coset import Base
+from nvalued.rotgroups import GroupSpec
 from nvalued.topology import MAX_SAMPLES
 
 from .conftest import subprocess_env
@@ -313,6 +315,24 @@ def test_classify_o_sp1_json(capsys):
         "riemann_hurwitz": True,
         "parity_consistent": True,
     }
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_a_failing_suspension_check_fails_classify(monkeypatch, capsys, json_flag):
+    def failing(group, samples, seed):
+        return topology.SuspensionReport(group.spec.label, samples, 0.5, True)
+
+    monkeypatch.setattr(topology, "check_suspension", failing)
+    report = topology.classify(Base.SO3, GroupSpec.parse("C3"))
+    assert not report.passed
+    assert not report.evidence.suspension
+    code, out, _ = run_cli(["classify", "C3", "--base", "so3", *json_flag], capsys)
+    assert code == 1
+    if json_flag:
+        assert json.loads(out)["evidence"]["suspension"] is False
+    else:
+        assert "suspension=False" in out
+        assert out.endswith("overall: FAIL\n")
 
 
 def test_classify_all_json(capsys):
