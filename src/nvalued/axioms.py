@@ -32,7 +32,7 @@ from .coset import (
     orbit_distance,
 )
 from .quaternion import ONE, _CONJ_SIGN, canonical_sign, left_matrix, normalized_rows
-from .rotgroups import RotationGroup
+from .rotgroups import RotationGroup, _is_int
 from .tolerances import MAX_TOL, TOL_AXIOM
 
 # A block of trials holds at most this many product values (or one trial,
@@ -87,7 +87,13 @@ def _run_trials(
     A trial fails unless its deviation is at most `tol`, so a non-finite
     deviation is a failure, and it is reported as an infinite one.  A check
     with no trial, or with a tolerance that no two orbits can exceed, would
-    pass without testing anything, so both raise ValueError."""
+    pass without testing anything, so both raise ValueError, as does a
+    trial count that is not an integer (a bool included).  The report
+    counts the trials measured, so blocks that return another number of
+    deviations than they drew raise RuntimeError."""
+    if not _is_int(trials):
+        raise ValueError(f"{axiom} needs an integer trial count, got {trials!r}")
+    trials = int(trials)
     if trials < 1:
         raise ValueError(f"{axiom} needs at least one trial, got {trials}")
     if not 0.0 < tol < MAX_TOL:
@@ -99,6 +105,8 @@ def _run_trials(
             for b in _blocks(trials, BLOCK_VALUES // values_per_trial)
         ]
     )
+    if len(dev) != trials:
+        raise RuntimeError(f"{axiom} measured {len(dev)} of {trials} trials")
     worst = np.where(np.isfinite(dev), dev, np.inf).max()
     return AxiomReport(
         space=space.label,

@@ -28,7 +28,7 @@ Internally representatives are rows of (m, 4) arrays: canonicalization,
 the product and the orbit distance each run once over a whole batch.
 `Orbit` is the view of one row that the public functions take and return;
 a product returns `Orbits`, a read-only sequence over its (n, 4) array of
-representatives that boxes a value as an `Orbit` only when one is asked for.
+representatives that boxes a value as an `Orbit` only when it is indexed.
 """
 
 from __future__ import annotations
@@ -156,9 +156,10 @@ def _orbits(space: CosetSpace, reps: np.ndarray) -> list[Orbit]:
 class Orbits(Sequence):
     """The values of a product: a read-only sequence of orbits of one
     space, backed by `reps`, their (n, 4) array of canonical
-    representatives, which is not writeable.  An integer index or
-    iteration boxes one value as an `Orbit` when it is asked for; a slice
-    is a list of them, and `+` with any sequence is a list."""
+    representatives, which is not writeable.  An integer index boxes one
+    value as an `Orbit`, and a slice is a list of them; iteration and the
+    other `Sequence` mixins go through indexing.  There is no `+`: a
+    product is a multiset, not a list to extend."""
 
     __slots__ = ("space", "reps")
 
@@ -174,16 +175,6 @@ class Orbits(Sequence):
         if isinstance(index, slice):
             return _orbits(self.space, self.reps[index])
         return Orbit(self.space, Quaternion(*self.reps[operator.index(index)].tolist()))
-
-    def __iter__(self):
-        for row in self.reps.tolist():
-            yield Orbit(self.space, Quaternion(*row))
-
-    def __add__(self, other) -> list[Orbit]:
-        return [*self, *other]
-
-    def __radd__(self, other) -> list[Orbit]:
-        return [*other, *self]
 
     def __repr__(self) -> str:
         return f"Orbits[{self.space.label}](n={len(self)})"

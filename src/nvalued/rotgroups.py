@@ -43,6 +43,12 @@ MAX_ORDER = 1000
 _SPEC_RE = re.compile(r"^([CD])([0-9]+)$|^([TOI])$")
 
 
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer, and False for a bool, which
+    Python counts as an integer but no caller means as a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class ClosureFailure(RuntimeError):
     """A group or an element does not close up: the cover folds to the
     wrong number of rotations, no element is the identity, or no order
@@ -64,7 +70,7 @@ class GroupSpec:
     def __post_init__(self):
         if self.family in ("C", "D"):
             p = self.param
-            if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
+            if not _is_int(p) or p < 1:
                 need = f"family {self.family!r} needs an integer parameter >= 1"
                 raise ValueError(f"{need}, got {p!r}")
         elif self.family in ("T", "O", "I"):

@@ -15,7 +15,7 @@ when they do not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,6 +32,7 @@ from .quaternion import (
 from .rotgroups import (
     GroupSpec,
     RotationGroup,
+    _is_int,
     build_group,
     has_half_turn,
     match_rows,
@@ -120,6 +121,9 @@ def check_suspension(
     """Conjugation by every cover element must preserve the real part of
     random unit quaternions and fix the two poles +-1 outright, which is
     what stratifies the quotient into levels of the real part."""
+    if not _is_int(samples):
+        raise ValueError(f"check_suspension needs an integer count, got {samples!r}")
+    samples = int(samples)
     if samples < 1:
         raise ValueError(f"check_suspension needs at least one sample, got {samples}")
     if samples > MAX_SAMPLES:
@@ -287,11 +291,7 @@ class ClassificationReport:
             "parity": self.parity,
             "tau_fixed_points": self.tau_fixed_points,
             "predicted_space": self.predicted_space,
-            "evidence": {
-                "suspension": self.evidence.suspension,
-                "riemann_hurwitz": self.evidence.riemann_hurwitz,
-                "parity_consistent": self.evidence.parity_consistent,
-            },
+            "evidence": asdict(self.evidence),
         }
 
 

@@ -210,6 +210,41 @@ MUTANTS = [
             "test_identity_in_one_pass_matches_the_two_product_reference[0]",
         ),
     ),
+    Mutant(
+        "run-trials-any-count",
+        "src/nvalued/axioms.py",
+        """\
+    if not _is_int(trials):
+        raise ValueError(f"{axiom} needs an integer trial count, got {trials!r}")
+""",
+        "",
+        ids(
+            "test_axioms.py",
+            "test_a_trial_count_that_is_not_an_integer_raises[check_identity-True]",
+            "test_a_trial_count_that_is_not_an_integer_raises[check_associativity-2.5]",
+        ),
+    ),
+    Mutant(
+        "run-trials-uncounted-deviations",
+        "src/nvalued/axioms.py",
+        """\
+    if len(dev) != trials:
+        raise RuntimeError(f"{axiom} measured {len(dev)} of {trials} trials")
+""",
+        "",
+        ids(
+            "test_axioms.py",
+            "test_blocks_that_return_another_number_of_deviations_raise[-1]",
+            "test_blocks_that_return_another_number_of_deviations_raise[1]",
+        ),
+    ),
+    Mutant(
+        "orbits-slice-is-orbits",
+        "src/nvalued/coset.py",
+        "return _orbits(self.space, self.reps[index])",
+        "return Orbits(self.space, self.reps[index])",
+        ids("test_coset.py", "TestOrbits::test_slices_are_lists"),
+    ),
 ]
 
 

@@ -1,6 +1,7 @@
 """The randomized axiom suites: green on genuine groups, red on corrupted
 ones, reproducible under a fixed seed."""
 
+import json
 import math
 
 import numpy as np
@@ -112,7 +113,7 @@ def reference_run_all(space, samples, triples, seed, tol=TOL_AXIOM, compare=None
 
     def identity(rng):
         x = random_point(space, rng)
-        entries = orbit_product(e, x) + orbit_product(x, e)
+        entries = [*orbit_product(e, x), *orbit_product(x, e)]
         return max(orbit_distance(x, v) for v in entries)
 
     def inverse(rng):
@@ -334,6 +335,77 @@ def test_negative_control_catches_are_pinned(corrupted_spaces, seed):
 IDENTITY_CATCHES = [1045, 1043, 1043, 1044]
 INVERSE_CATCHES = [636, 635, 643, 671]
 
+# The same catches per space, in the order of `corrupted_spaces`: (group,
+# angle, base) -> (identity, inverse) failures of 20 at seeds 0-3.  D3 and
+# D5 at 1e-5 rad catch nothing on either check: `corrupted_copy` turns their
+# row 0, a half-turn about a horizontal axis, into another such half-turn,
+# so every element is still its own inverse, and only associativity and
+# well-definedness see the corruption.  At 0.1 rad they catch 0-3 of 20 on
+# identity and none on inverse.  (On D2, D4 and D6 row 0 is the half-turn
+# about the vertical axis, which the corruption makes a non-involution.)
+POWER = {
+    ("C2", 0.1, "sp1"):    ((20, 20, 20, 20), (20, 20, 20, 18)),
+    ("C2", 0.1, "so3"):    ((20, 20, 20, 20), (20, 20, 20, 19)),
+    ("C2", 1e-05, "sp1"):  ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C2", 1e-05, "so3"):  ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C3", 0.1, "sp1"):    ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C3", 0.1, "so3"):    ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C3", 1e-05, "sp1"):  ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C3", 1e-05, "so3"):  ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C4", 0.1, "sp1"):    ((20, 20, 20, 20), (20, 20, 17, 20)),
+    ("C4", 0.1, "so3"):    ((20, 20, 20, 20), (19, 20, 18, 20)),
+    ("C4", 1e-05, "sp1"):  ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C4", 1e-05, "so3"):  ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C5", 0.1, "sp1"):    ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C5", 0.1, "so3"):    ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C5", 1e-05, "sp1"):  ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C5", 1e-05, "so3"):  ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C6", 0.1, "sp1"):    ((20, 20, 20, 20), (19, 19, 19, 19)),
+    ("C6", 0.1, "so3"):    ((20, 20, 20, 20), (19, 19, 19, 19)),
+    ("C6", 1e-05, "sp1"):  ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C6", 1e-05, "so3"):  ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C7", 0.1, "sp1"):    ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C7", 0.1, "so3"):    ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C7", 1e-05, "sp1"):  ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C7", 1e-05, "so3"):  ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C8", 0.1, "sp1"):    ((20, 20, 20, 20), (19, 17, 19, 20)),
+    ("C8", 0.1, "so3"):    ((20, 20, 20, 20), (20, 16, 19, 20)),
+    ("C8", 1e-05, "sp1"):  ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("C8", 1e-05, "so3"):  ((20, 20, 20, 20), (20, 20, 20, 20)),
+    ("D2", 0.1, "sp1"):    ((20, 20, 20, 20), (9, 9, 8, 10)),
+    ("D2", 0.1, "so3"):    ((20, 20, 20, 20), (11, 9, 12, 11)),
+    ("D2", 1e-05, "sp1"):  ((20, 20, 20, 20), (10, 10, 7, 10)),
+    ("D2", 1e-05, "so3"):  ((20, 20, 20, 20), (12, 9, 11, 11)),
+    ("D3", 0.1, "sp1"):    ((1, 0, 1, 0), (0, 0, 0, 0)),
+    ("D3", 0.1, "so3"):    ((1, 0, 1, 1), (0, 0, 0, 0)),
+    ("D3", 1e-05, "sp1"):  ((0, 0, 0, 0), (0, 0, 0, 0)),
+    ("D3", 1e-05, "so3"):  ((0, 0, 0, 0), (0, 0, 0, 0)),
+    ("D4", 0.1, "sp1"):    ((20, 20, 20, 20), (1, 4, 5, 5)),
+    ("D4", 0.1, "so3"):    ((20, 20, 20, 20), (4, 4, 7, 6)),
+    ("D4", 1e-05, "sp1"):  ((20, 20, 20, 20), (2, 5, 5, 5)),
+    ("D4", 1e-05, "so3"):  ((20, 20, 20, 20), (5, 4, 7, 6)),
+    ("D5", 0.1, "sp1"):    ((1, 2, 0, 0), (0, 0, 0, 0)),
+    ("D5", 0.1, "so3"):    ((2, 1, 1, 3), (0, 0, 0, 0)),
+    ("D5", 1e-05, "sp1"):  ((0, 0, 0, 0), (0, 0, 0, 0)),
+    ("D5", 1e-05, "so3"):  ((0, 0, 0, 0), (0, 0, 0, 0)),
+    ("D6", 0.1, "sp1"):    ((20, 20, 20, 20), (1, 4, 3, 3)),
+    ("D6", 0.1, "so3"):    ((20, 20, 20, 20), (3, 4, 4, 4)),
+    ("D6", 1e-05, "sp1"):  ((20, 20, 20, 20), (2, 5, 3, 3)),
+    ("D6", 1e-05, "so3"):  ((20, 20, 20, 20), (4, 4, 4, 4)),
+    ("T", 0.1, "sp1"):     ((20, 20, 20, 20), (1, 2, 3, 3)),
+    ("T", 0.1, "so3"):     ((20, 20, 20, 20), (3, 1, 2, 5)),
+    ("T", 1e-05, "sp1"):   ((20, 20, 20, 20), (2, 3, 3, 3)),
+    ("T", 1e-05, "so3"):   ((20, 20, 20, 20), (4, 1, 2, 5)),
+    ("O", 0.1, "sp1"):     ((20, 20, 20, 20), (0, 0, 2, 3)),
+    ("O", 0.1, "so3"):     ((20, 20, 20, 20), (1, 0, 0, 4)),
+    ("O", 1e-05, "sp1"):   ((20, 20, 20, 20), (1, 1, 2, 3)),
+    ("O", 1e-05, "so3"):   ((20, 20, 20, 20), (2, 0, 0, 4)),
+    ("I", 0.1, "sp1"):     ((20, 20, 20, 20), (0, 2, 0, 2)),
+    ("I", 0.1, "so3"):     ((20, 20, 20, 20), (0, 0, 1, 3)),
+    ("I", 1e-05, "sp1"):   ((20, 20, 20, 20), (1, 3, 0, 1)),
+    ("I", 1e-05, "so3"):   ((20, 20, 20, 20), (1, 0, 1, 2)),
+}
+
 
 @pytest.mark.parametrize("seed", range(len(IDENTITY_CATCHES)))
 def test_negative_control_identity_and_inverse_catches_are_pinned(
@@ -344,6 +416,24 @@ def test_negative_control_identity_and_inverse_catches_are_pinned(
     assert sum(r.trials for r in identity) == sum(r.trials for r in inverse) == 1200
     assert sum(r.failures for r in identity) == IDENTITY_CATCHES[seed]
     assert sum(r.failures for r in inverse) == INVERSE_CATCHES[seed]
+    assert [s.label for s in corrupted_spaces] == [f"{g}@{b}" for g, _, b in POWER]
+    caught = [(i.failures, v.failures) for i, v in zip(identity, inverse)]
+    assert caught == [(a[seed], b[seed]) for a, b in POWER.values()]
+
+
+def test_valid_spaces_pass_nine_orders_under_the_tolerance():
+    # The margin of the catalog: the worst deviation of any check over the
+    # 34 spaces and seeds 0-9 was 1.057e-15 (seed 9, D6@so3 associativity).
+    worst = max(
+        report.max_deviation
+        for spec in catalog()
+        for base in Base
+        for seed in range(10)
+        for report in run_all(
+            make_space(spec.label, base.value), samples=10, triples=1, seed=seed
+        )
+    )
+    assert worst < 4e-15
 
 
 # Well-definedness checks on the negative controls, as (group, base, angle,
@@ -520,6 +610,32 @@ def test_a_check_without_trials_raises(check, count):
     # a check that ran no trial must not report PASS
     with pytest.raises(ValueError, match="at least one trial"):
         check(make_space("C3", "sp1"), count)
+
+
+@pytest.mark.parametrize("count", [True, 2.5, np.float64(3.0)], ids=repr)
+@pytest.mark.parametrize("check", CHECKS)
+def test_a_trial_count_that_is_not_an_integer_raises(check, count):
+    # True would run one trial and write `"trials": true` into the JSON
+    name = check.__name__.removeprefix("check_")
+    with pytest.raises(ValueError, match=f"{name} needs an integer trial count"):
+        check(make_space("C3", "so3"), count)
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_a_numpy_trial_count_is_reported_as_an_int(check):
+    report = check(make_space("C3", "so3"), np.int64(3))
+    assert type(report.trials) is int and report.trials == 3
+    assert json.loads(json.dumps(report.to_json_dict()))["trials"] == 3
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_blocks_that_return_another_number_of_deviations_raise(extra):
+    # a report counts the trials it measured, not the ones it asked for
+    with pytest.raises(RuntimeError, match="identity measured"):
+        _run_trials(
+            make_space("C3", "so3"), "identity", 5, 0, 1e-6, 6,
+            lambda rng, count: [0.0] * (count + extra),
+        )
 
 
 @pytest.mark.parametrize(

@@ -434,7 +434,7 @@ class TestProduct:
             s = make_space(label, base)
             e = identity_orbit(s)
             x = random_point(s, rng)
-            for v in orbit_product(e, x) + orbit_product(x, e):
+            for v in [*orbit_product(e, x), *orbit_product(x, e)]:
                 assert orbit_distance(v, x) < 1e-9
 
     def test_inverse_contains_identity(self, rng):
@@ -523,22 +523,33 @@ class TestOrbits:
         with pytest.raises(IndexError):
             values[60]
         assert [o.rep for o in values] == rows
+        assert [o.rep for o in reversed(values)] == rows[::-1]
         assert all(isinstance(o, Orbit) for o in values)
 
-    def test_slices_and_sums_are_lists(self):
+    def test_slices_are_lists(self):
         _, x, _, values = self.product()
         rows = [Quaternion(*row) for row in values.reps.tolist()]
         for part, want in (
             (values[:], rows),
             (values[2:5], rows[2:5]),
             (values[::-7], rows[::-7]),
-            (values + values, rows + rows),
-            (values + [x], rows + [x.rep]),
-            ([x] + values, [x.rep] + rows),
             (values[:-1] + [x], rows[:-1] + [x.rep]),
         ):
             assert type(part) is list
             assert [o.rep for o in part] == want
+
+    def test_products_have_no_sum(self):
+        # A product is a multiset: `+` neither concatenates (as a list
+        # would) nor adds elementwise (as `reps + reps` does).
+        _, x, y, values = self.product()
+        for left, right in (
+            (values, values),
+            (values, [x]),
+            ([x], values),
+            (orbit_product(x, y), orbit_product(y, x)),
+        ):
+            with pytest.raises(TypeError):
+                left + right
 
     def test_matching_and_grouping_read_orbits_and_lists_alike(self):
         _, _, _, values = self.product("T", "sp1")

@@ -68,7 +68,7 @@ def test_identity_on_the_singular_set(label, base):
     space, points = space_and_points(label, base)
     e = identity_orbit(space)
     for x in points:
-        values = orbit_product(e, x) + orbit_product(x, e)
+        values = [*orbit_product(e, x), *orbit_product(x, e)]
         assert len(values) == 2 * space.n
         worst = max(orbit_distance(x, v) for v in values)
         assert worst <= TOL_AXIOM, (x.rep, worst)

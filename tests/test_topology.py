@@ -169,6 +169,20 @@ def test_suspension_needs_a_sample(samples):
         classify(Base.SO3, spec, samples=samples)
 
 
+@pytest.mark.parametrize("samples", [True, 2.5, np.float64(3.0)], ids=repr)
+def test_suspension_needs_an_integer_sample_count(samples):
+    spec = GroupSpec.parse("C3")
+    with pytest.raises(ValueError, match="integer count"):
+        check_suspension(build_group(spec), samples=samples)
+    with pytest.raises(ValueError, match="integer count"):
+        classify(Base.SO3, spec, samples=samples)
+
+
+def test_suspension_reports_a_numpy_sample_count_as_an_int():
+    report = check_suspension(build_group(GroupSpec.parse("C3")), np.int64(50))
+    assert type(report.samples) is int and report.samples == 50
+
+
 def test_suspension_caps_the_sample_count():
     # the cap bounds the (samples x order) array; C3 keeps the refused
     # call small should the cap be missing
