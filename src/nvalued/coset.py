@@ -137,9 +137,16 @@ class CosetSpace:
         return sweep.transpose(0, 2, 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Orbit:
-    """A point of a coset space: its canonical representative quaternion."""
+    """A point of a coset space: its canonical representative quaternion.
+
+    Two orbits are equal, and hash alike, when they have the same space
+    object and the same representative, coordinate for coordinate: this
+    is representative equality, which `in`, `count` and `index` on a
+    sequence of orbits use.  Orbit identity within a tolerance is
+    `orbit_distance`, since two representatives of one orbit can differ
+    by rounding, or jump between close images next to the singular set."""
 
     space: CosetSpace = field(repr=False)
     rep: Quaternion
@@ -280,11 +287,19 @@ def _lexmax(images: np.ndarray) -> np.ndarray:
     return pick
 
 
-def _nearest(points: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """Distance from each point (..., 4) to the nearest of its images
-    (..., k, 4); inf when there are no images."""
-    diffs = images - points[..., None, :]
-    return np.sqrt((diffs * diffs).sum(axis=-1)).min(axis=-1, initial=np.inf)
+def _nearest(space: CosetSpace, points: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Orbit distance from each point (..., 4) to the orbit of its row of
+    `values` (m, 4), reduced in the (m, 4, k) layout the sweep is written
+    in: the squared differences summed over the 4 coordinates, the least
+    over the k images, then one square root per row (the root is monotone,
+    so it commutes with the least); inf when there are no images."""
+    sweep = (values @ space._canon_cols.T).reshape(len(values), 4, -1)
+    # Out of place: many points may broadcast against one swept value.
+    diffs = sweep - points[..., :, None]
+    np.multiply(diffs, diffs, out=diffs)
+    return np.sqrt(
+        np.minimum.reduce(np.add.reduce(diffs, axis=1), axis=-1, initial=np.inf)
+    )
 
 
 def _distances(space: CosetSpace, points: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -292,12 +307,10 @@ def _distances(space: CosetSpace, points: np.ndarray, values: np.ndarray) -> np.
     (4,) array) to the orbit of the same row of `values` (or of its one
     row), swept in blocks: the one orbit-distance kernel."""
     if len(values) <= space._distance_rows:
-        return _nearest(points, space.canon_images(values))
+        return _nearest(space, points, values)
     points = np.broadcast_to(points, values.shape)
     blocks = _blocks(len(values), space._distance_rows)
-    return np.concatenate(
-        [_nearest(points[b], space.canon_images(values[b])) for b in blocks]
-    )
+    return np.concatenate([_nearest(space, points[b], values[b]) for b in blocks])
 
 
 def _distances_to_identity(space: CosetSpace, values: np.ndarray) -> np.ndarray:

@@ -205,6 +205,15 @@ def grouped_orbits_oracle(orbits) -> list[tuple[Orbit, int]]:
     return [(Orbit(space, Quaternion(*first)), count) for first, count in groups]
 
 
+def nearest_reference(space: CosetSpace, points, values) -> np.ndarray:
+    """coset._distances by the earlier formula, in one sweep of all rows:
+    the distance from each point to every image of the (m, k, 4) view
+    `canon_images` gives, then the least; inf when there are no images."""
+    images = space.canon_images(values)
+    diffs = images - points[..., None, :]
+    return np.sqrt((diffs * diffs).sum(axis=-1)).min(axis=-1, initial=np.inf)
+
+
 def outcome(f, *args):
     """What f(*args) gives: its value, or the type of what it raises."""
     try:

@@ -239,6 +239,46 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        # On so3 the canon family holds -g for every g, so the orbit of -p
+        # is the orbit of p, bit for bit: only sp1 spaces see this edit.
+        "nearest-adds-the-points",
+        "src/nvalued/coset.py",
+        "diffs = sweep - points[..., :, None]",
+        "diffs = sweep + points[..., :, None]",
+        ids(
+            "test_coset.py",
+            *(
+                f"TestOrbitDistance::test_distances_are_the_earlier_formula_bit_for_bit[{label}-sp1]"
+                for label in ("C3", "T", "D500")
+            ),
+        ),
+    ),
+    Mutant(
+        "nearest-reduces-images-first",
+        "src/nvalued/coset.py",
+        "np.minimum.reduce(np.add.reduce(diffs, axis=1), axis=-1, initial=np.inf)",
+        "np.minimum.reduce(np.add.reduce(diffs, axis=-1), axis=1, initial=np.inf)",
+        ids(
+            "test_coset.py",
+            "TestOrbitDistance::test_distances_are_the_earlier_formula_bit_for_bit[I-so3]",
+            "TestOrbitDistance::test_distances_are_the_earlier_formula_bit_for_bit[C1000-so3]",
+            "TestOrbitDistance::test_symmetric",
+            "TestProduct::test_identity_collapses",
+        ),
+    ),
+    Mutant(
+        "distance-blocks-sweep-every-point",
+        "src/nvalued/coset.py",
+        "[_nearest(space, points[b], values[b]) for b in blocks]",
+        "[_nearest(space, points, values[b]) for b in blocks]",
+        ids(
+            "test_coset.py",
+            "TestOrbitDistance::test_blocked_distances_equal_one_block[1]",
+            "TestOrbitDistance::test_distances_are_the_earlier_formula_bit_for_bit[I-so3]",
+            "TestOrbitDistance::test_distances_are_the_earlier_formula_bit_for_bit[C1-sp1]",
+        ),
+    ),
+    Mutant(
         "orbits-slice-is-orbits",
         "src/nvalued/coset.py",
         "return _orbits(self.space, self.reps[index])",

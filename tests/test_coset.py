@@ -38,8 +38,8 @@ from nvalued.tolerances import EPS_POINT, TOL_AXIOM
 
 from .conftest import (
     conj_oracle, count_assignments, equator_quaternions, grouped_orbits_oracle,
-    make_space, near_half_way, product_left, product_right, triple_products,
-    unit_quaternions,
+    make_space, near_half_way, nearest_reference, product_left, product_right,
+    triple_products, unit_quaternions,
 )
 
 SMALL_SPACES = [
@@ -538,6 +538,22 @@ class TestOrbits:
             assert type(part) is list
             assert [o.rep for o in part] == want
 
+    def test_membership_compares_representatives(self):
+        # Every index boxes a fresh Orbit, so `in`, `count` and `index`
+        # find a value only if orbits compare by space and representative.
+        s = make_space("C3", "so3")
+        x = project(s, Quaternion(0.2, -0.4, 0.1, 0.8))
+        values = orbit_product(x, x)
+        rows = values.reps.tolist()
+        assert values[0] in values
+        assert [values.count(v) for v in values] == [rows.count(r) for r in rows]
+        assert [values.index(v) for v in values] == [rows.index(r) for r in rows]
+        twin = project(s, Quaternion(0.2, -0.4, 0.1, 0.8))
+        assert twin is not x and twin == x and hash(twin) == hash(x)
+        # another space, or another representative, is another orbit
+        assert Orbit(CosetSpace(s.group, "sp1"), x.rep) != x
+        assert project(s, Quaternion(0.6, 0.0, 0.8, 0.0)) != x
+
     def test_products_have_no_sum(self):
         # A product is a multiset: `+` neither concatenates (as a list
         # would) nor adds elementwise (as `reps + reps` does).
@@ -669,6 +685,41 @@ class TestOrbitDistance:
             )
         # numpy sweeps one row by another BLAS routine than many
         assert np.abs(coset._distances(s, points, reps) - got).max() <= 1e-15
+
+    @pytest.mark.parametrize(
+        "label, base", CATALOG_SPACES + [("C1000", "so3"), ("D500", "sp1")]
+    )
+    def test_distances_are_the_earlier_formula_bit_for_bit(self, label, base, rng):
+        # The kernel reduces the (m, 4, k) sweep as the matmul writes it and
+        # takes one root per row; the earlier formula took a root per image
+        # of the (m, k, 4) view.  Both add the squares in the order
+        # ((d0 + d1) + d2) + d3, and the root is correctly rounded and
+        # monotone, so the least root is the root of the least.
+        s = make_space(label, base)
+        m = s._distance_rows + 1
+        values = random_units(rng, m)
+        # on so3 the real part decides the lift sign, except near the equator
+        values[::7, 0] = rng.uniform(-EPS_POINT / 2, EPS_POINT / 2, len(values[::7]))
+        values = normalized_rows(values)
+        points = random_units(rng, m)
+        points[1::7] = values[1::7] + 1e-9
+        odd = values[:3].copy()
+        odd[1] = np.nan
+        odd[2, 3] = np.inf
+        cases = [(points[0], odd), (odd, values[:3]), (odd, odd)]
+        for c in (1, 2, 3, m):  # m rows take the block path
+            cases += [
+                (points[:c], values[:c]),
+                (points[c - 1], values[:c]),
+                (points[:c], values[c - 1 : c]),
+            ]
+        for p, v in cases:
+            with np.errstate(invalid="ignore"):
+                want = nearest_reference(s, p, v)
+                got = coset._distances(s, p, v)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestMultisets:
@@ -808,9 +859,9 @@ class TestMultisets:
         calls = []
         nearest = coset._nearest
 
-        def counting(points, images):
+        def counting(space, points, values):
             calls.append(1)
-            return nearest(points, images)
+            return nearest(space, points, values)
 
         monkeypatch.setattr(coset, "_nearest", counting)
         grouped = grouped_orbits(values)
