@@ -70,6 +70,14 @@ class AxiomReport:
         }
 
 
+def _seed(check: str, seed) -> int:
+    """`seed` as a Python int; ValueError naming the check unless it is a
+    non-negative integer (not a bool), as numpy seeds its generators."""
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"{check} needs a non-negative integer seed, got {seed!r}")
+    return int(seed)
+
+
 def _run_trials(
     space: CosetSpace,
     axiom: str,
@@ -87,13 +95,14 @@ def _run_trials(
     A trial fails unless its deviation is at most `tol`, so a non-finite
     deviation is a failure, and it is reported as an infinite one.  A check
     with no trial, or with a tolerance that no two orbits can exceed, would
-    pass without testing anything, so both raise ValueError, as does a
-    trial count that is not an integer (a bool included).  The report
-    counts the trials measured, so blocks that return another number of
-    deviations than they drew raise RuntimeError."""
+    pass without testing anything, so both raise ValueError, as do a
+    trial count that is not an integer (a bool included) and a seed that
+    `_seed` refuses.  The report counts the trials measured, so blocks that
+    return another number of deviations than they drew raise RuntimeError."""
     if not _is_int(trials):
         raise ValueError(f"{axiom} needs an integer trial count, got {trials!r}")
     trials = int(trials)
+    seed = _seed(axiom, seed)
     if trials < 1:
         raise ValueError(f"{axiom} needs at least one trial, got {trials}")
     if not 0.0 < tol < MAX_TOL:
@@ -208,8 +217,8 @@ def _paired_well_defined(
     n, m = space.n, len(want)
     a, b = (moves % n).T
     index = mul[mul[inv[a][:, None], np.arange(n)], b[:, None]]
-    act = space._act_stack.reshape(n, 4, 4)
-    moved = want[np.arange(m)[:, None], index] @ act[a].transpose(0, 2, 1)
+    act = space.group._action[a]
+    moved = want[np.arange(m)[:, None], index] @ act.transpose(0, 2, 1)
     # s t is -1 where exactly one of the two maps negates
     sign = np.where((moves[:, 0] >= n) ^ (moves[:, 1] >= n), -1.0, 1.0)
     diffs = got - sign[:, None, None] * moved
@@ -261,7 +270,7 @@ def check_well_defined(
     tol apart fails on that gap, and only the others are canonicalized and
     matched."""
     n = space.n
-    moves = np.random.default_rng([seed, 1])
+    moves = np.random.default_rng([_seed("well_defined", seed), 1])
     closed = space.group._table is not None
 
     def block(rng: np.random.Generator, count: int) -> list[float]:
@@ -291,7 +300,9 @@ def run_all(
 ) -> list[AxiomReport]:
     """All four checks with the standard trial budget: `samples` trials for
     identity and inverse, half for well-definedness, and the associativity
-    default unless overridden."""
+    default unless overridden.  The i-th check runs at seed + i, added as a
+    Python int, so that a numpy seed cannot wrap around."""
+    seed = _seed("run_all", seed)
     return [
         check_identity(space, samples, seed, tol),
         check_inverse(space, samples, seed + 1, tol),
@@ -306,6 +317,8 @@ def corrupted_copy(group: RotationGroup, extra_angle: float = 0.1) -> RotationGr
     closed and the axiom checks must fail on it."""
     if len(group) < 2:
         raise ValueError("the trivial group has no element to corrupt")
+    if not math.isfinite(extra_angle):
+        raise ValueError(f"extra_angle must be finite, got {extra_angle!r}")
     half = extra_angle / 2.0
     tweak = np.array([math.cos(half), 0.0, 0.0, math.sin(half)])
     rows = group.element_rows.copy()

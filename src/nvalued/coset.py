@@ -44,7 +44,6 @@ import numpy as np
 from .quaternion import (
     ONE,
     Quaternion,
-    conj_matrix,
     left_matrix,
     normalized_rows,
     random_units,
@@ -81,12 +80,11 @@ class SizeMismatch(ValueError):
 class CosetSpace:
     """The quotient of a base space by a finite rotation group.
 
-    `base` is a Base or its value ("sp1", "so3").  Precomputes the action
-    matrices once: the i-th is conjugation by the i-th group element
-    (either lift conjugates identically).  The canon family is the set of
-    maps whose images sweep out everything a point is identified with; on
-    the rotation base each point also carries the sign ambiguity of its
-    lift, so the family there includes the negated maps.
+    `base` is a Base or its value ("sp1", "so3").  The acting maps are the
+    group's conjugation matrices, `RotationGroup._action`.  The canon
+    family is the set of maps whose images sweep out everything a point is
+    identified with; on the rotation base each point also carries the sign
+    ambiguity of its lift, so the family there includes the negated maps.
     Both families are kept as (k*4, 4) stacks, so that a sweep of m points
     is a single (m, 4) x (4, k*4) matmul.  The acting stack is map-major
     (row 4*i + r holds row r of the i-th map); the canon stack, which orbit
@@ -104,7 +102,7 @@ class CosetSpace:
     def __init__(self, group: RotationGroup, base: Base | str):
         self.group = group
         self.base = Base(base)
-        act = conj_matrix(group.element_rows)
+        act = group._action
         canon = act if self.base is Base.SP1 else np.concatenate([act, -act])
         self._act_stack = act.reshape(-1, 4)
         self._canon_cols = canon.transpose(1, 0, 2).reshape(-1, 4)

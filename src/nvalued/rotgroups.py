@@ -26,6 +26,7 @@ from .quaternion import (
     ONE,
     Quaternion,
     canonical_sign,
+    conj_matrix,
     left_matrix,
     rounded_order,
 )
@@ -195,9 +196,9 @@ class RotationGroup:
     identity (else ClosureFailure).
 
     `element_rows` keeps the rows in the given order and `elements` holds
-    them as Quaternions; `cover`, both lifts of every element, and the
-    group tables are derived from them.  Instances are immutable by
-    convention and safe to share.
+    them as Quaternions; `cover`, both lifts of every element, the
+    conjugation action and the group tables are derived from them.
+    Instances are immutable by convention and safe to share.
     """
 
     def __init__(self, spec: GroupSpec, rows: Sequence[Sequence[float]]):
@@ -247,6 +248,15 @@ class RotationGroup:
         if not len(hits):
             raise NotInGroup(f"{g} is not an element of {self.spec.label}")
         return int(hits[0])
+
+    @cached_property
+    def _action(self) -> np.ndarray:
+        """The conjugation matrices of the elements, an (n, 4, 4) stack that
+        is not writeable: the i-th is x -> g_i x g_i^-1, on either base and
+        for either lift of g_i.  The one place the action is formed."""
+        act = conj_matrix(self.element_rows)
+        act.flags.writeable = False
+        return act
 
     @cached_property
     def _table(self) -> Optional[tuple[np.ndarray, np.ndarray]]:

@@ -25,7 +25,6 @@ from .quaternion import (
     Quaternion,
     Vec3,
     canonical_sign,
-    conj_matrix,
     random_units,
     rounded_order,
 )
@@ -128,9 +127,12 @@ def check_suspension(
         raise ValueError(f"check_suspension needs at least one sample, got {samples}")
     if samples > MAX_SAMPLES:
         raise ValueError(f"check_suspension takes at most {MAX_SAMPLES}, got {samples}")
+    if not _is_int(seed) or seed < 0:
+        need = "check_suspension needs a non-negative integer seed"
+        raise ValueError(f"{need}, got {seed!r}")
     points = random_units(np.random.default_rng(seed), samples)
     # -q conjugates exactly like q, so the elements stand for the cover.
-    mats = conj_matrix(group.element_rows)
+    mats = group._action
     # only the real part of each image is needed: row 0 of each matrix,
     # one row per element, so the extremes below reduce across rows
     real = mats[:, 0, :] @ points.T
@@ -190,9 +192,9 @@ def singular_orbits(group: RotationGroup) -> SingularOrbitData:
     points = np.concatenate([axes[lines], -axes[lines]])
     stabilizer = np.tile(1 + count, 2)
 
-    rotations = conj_matrix(group.element_rows)[:, 1:, 1:]
+    rotations = group._action[:, 1:, 1:]
     unassigned = np.ones(len(points), dtype=bool)
-    found: list[tuple[np.ndarray, int]] = []  # (point indices, stabilizer)
+    orbits: list[SphereOrbit] = []
     while unassigned.any():
         start = unassigned.argmax()
         hits = match_rows(points, rotations @ points[start])
@@ -211,26 +213,16 @@ def singular_orbits(group: RotationGroup) -> SingularOrbitData:
                 f"{group.spec}: orbit of size {len(orbit)} with stabilizer {nu} "
                 f"violates orbit-stabilizer for order {n}"
             )
-        found.append((orbit, nu))
+        # the points of each orbit in rounded order
+        found = points[orbit]
+        found = found[rounded_order(found)].tolist()
+        orbits.append(SphereOrbit(tuple(map(Vec3._make, found)), nu))
 
-    # One rounded order of the rows [nu, x, y, z] orders the points of each
-    # orbit, and the orbits by stabilizer order, then by their first point.
-    rows = np.concatenate(
-        [np.empty((0, 4))]
-        + [np.column_stack([np.full(len(o), nu), points[o]]) for o, nu in found]
-    )
-    order = rounded_order(rows)
-    owner = np.repeat(np.arange(len(found)), [len(o) for o, _ in found])[order]
-    # the position in the order of each orbit's first point
-    _, first = np.unique(owner, return_index=True)
-    orbits = tuple(
-        SphereOrbit(
-            tuple(map(Vec3._make, rows[order[owner == k], 1:].tolist())),
-            found[k][1],
-        )
-        for k in np.argsort(first).tolist()
-    )
-    return SingularOrbitData(orbits)
+    # the orbits by stabilizer order, then by their first point (the reshape
+    # keeps the rows 4 wide when there is no orbit)
+    firsts = np.array([(o.stabilizer_order, *o.points[0]) for o in orbits])
+    order = rounded_order(firsts.reshape(-1, 4)).tolist()
+    return SingularOrbitData(tuple(orbits[k] for k in order))
 
 
 def riemann_hurwitz_check(group: RotationGroup) -> bool:

@@ -279,6 +279,62 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "singular-orbit-points-unsorted",
+        "src/nvalued/topology.py",
+        "found = found[rounded_order(found)].tolist()",
+        "found = found.tolist()",
+        ids(
+            "test_topology.py",
+            *(
+                f"TestSingularOrbits::test_orbits_and_their_points_are_in_rounded_key_order[{label}]"
+                for label in ("D3", "T", "I", "D500")
+            ),
+        ),
+    ),
+    Mutant(
+        # only O has orbits whose first points sort otherwise than their
+        # stabilizer orders: by first point its nu read 4, 2, 3
+        "singular-orbits-by-first-point-only",
+        "src/nvalued/topology.py",
+        """\
+    firsts = np.array([(o.stabilizer_order, *o.points[0]) for o in orbits])
+    order = rounded_order(firsts.reshape(-1, 4)).tolist()
+""",
+        """\
+    firsts = np.array([o.points[0] for o in orbits])
+    order = rounded_order(firsts.reshape(-1, 3)).tolist()
+""",
+        ids(
+            "test_topology.py",
+            "TestSingularOrbits::test_orbits_and_their_points_are_in_rounded_key_order[O]",
+        ),
+    ),
+    Mutant(
+        "seed-accepts-a-bool",
+        "src/nvalued/axioms.py",
+        "if not _is_int(seed) or seed < 0:",
+        "if not isinstance(seed, (int, np.integer)) or seed < 0:",
+        ids(
+            "test_axioms.py",
+            "test_a_seed_that_is_not_a_non_negative_integer_raises[check_identity-True]",
+            "test_a_seed_that_is_not_a_non_negative_integer_raises[check_well_defined-True]",
+        ),
+    ),
+    Mutant(
+        "corrupted-copy-any-angle",
+        "src/nvalued/axioms.py",
+        """\
+    if not math.isfinite(extra_angle):
+        raise ValueError(f"extra_angle must be finite, got {extra_angle!r}")
+""",
+        "",
+        ids(
+            "test_axioms.py",
+            "test_a_corrupting_angle_that_is_not_finite_raises[inf]",
+            "test_a_corrupting_angle_that_is_not_finite_raises[nan]",
+        ),
+    ),
+    Mutant(
         "orbits-slice-is-orbits",
         "src/nvalued/coset.py",
         "return _orbits(self.space, self.reps[index])",

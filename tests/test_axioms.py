@@ -601,6 +601,13 @@ def test_trivial_group_cannot_be_corrupted():
         corrupted_copy(g)
 
 
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan], ids=repr)
+def test_a_corrupting_angle_that_is_not_finite_raises(angle):
+    # inf failed inside math.cos; nan built rows that are not numbers
+    with pytest.raises(ValueError, match="extra_angle must be finite"):
+        corrupted_copy(build_group(GroupSpec.parse("C3")), angle)
+
+
 CHECKS = [check_identity, check_inverse, check_associativity, check_well_defined]
 
 
@@ -626,6 +633,32 @@ def test_a_numpy_trial_count_is_reported_as_an_int(check):
     report = check(make_space("C3", "so3"), np.int64(3))
     assert type(report.trials) is int and report.trials == 3
     assert json.loads(json.dumps(report.to_json_dict()))["trials"] == 3
+
+
+@pytest.mark.parametrize("seed", [True, 2.0, np.float64(3.0), -1], ids=repr)
+@pytest.mark.parametrize("check", CHECKS)
+def test_a_seed_that_is_not_a_non_negative_integer_raises(check, seed):
+    # True would run as seed 1 and write `"seed": true` into the JSON
+    name = check.__name__.removeprefix("check_")
+    with pytest.raises(ValueError, match=f"{name} needs a non-negative integer seed"):
+        check(make_space("C3", "so3"), 3, seed=seed)
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_a_numpy_seed_is_reported_as_an_int(check):
+    space = make_space("C3", "so3")
+    report = check(space, 3, seed=np.int64(3))
+    assert type(report.seed) is int
+    assert json.loads(json.dumps(report.to_json_dict()))["seed"] == 3
+    assert report == check(space, 3, seed=3)
+
+
+def test_run_all_adds_to_a_numpy_seed_as_a_python_int():
+    # np.int64(2**63 - 1) + 1 would wrap around to a negative seed
+    top = 2**63 - 1
+    reports = run_all(make_space("C3", "so3"), 3, 1, seed=np.int64(top))
+    assert [r.seed for r in reports] == [top, top + 1, top + 2, top + 3]
+    assert all(type(r.seed) is int for r in reports)
 
 
 @pytest.mark.parametrize("extra", [-1, 1])

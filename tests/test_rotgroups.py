@@ -7,13 +7,15 @@ import re
 import numpy as np
 import pytest
 
-from nvalued import rotgroups
+from nvalued import rotgroups, topology
 from nvalued.axioms import corrupted_copy
+from nvalued.coset import Base, CosetSpace
 from nvalued.quaternion import (
     ONE,
     QI,
     QK,
     Quaternion,
+    conj_matrix,
     left_matrix,
 )
 from nvalued.rotgroups import (
@@ -475,3 +477,40 @@ def test_the_corrupted_copy_of_d1_is_still_a_group(angle):
     e = bad.identity_index
     assert mul.tolist() == [[e, 1 - e], [1 - e, e]]
     assert inv.tolist() == [0, 1]
+
+
+ACTION_GROUPS = [s.label for s in catalog()] + ["C1000", "D500", "corrupted I"]
+
+
+@pytest.mark.parametrize("label", ACTION_GROUPS)
+def test_one_action_per_group(label):
+    # the conjugation stack is formed once, read-only, and every space of
+    # the group sweeps that one stack
+    if label == "corrupted I":
+        g = corrupted_copy(build_group(GroupSpec.parse("I")), extra_angle=0.1)
+    else:
+        g = build_group(GroupSpec.parse(label))
+    act = g._action
+    assert act.tobytes() == conj_matrix(g.element_rows).tobytes()
+    assert act.shape == (len(g), 4, 4)
+    assert not act.flags.writeable
+    assert g._action is act
+    for base in Base:
+        assert np.shares_memory(CosetSpace(g, base)._act_stack, act)
+
+
+def test_classify_forms_the_action_once(monkeypatch):
+    # a group classify has not seen before: a fresh object of known rows
+    calls = []
+    form = rotgroups.conj_matrix
+    monkeypatch.setattr(
+        rotgroups, "conj_matrix", lambda q: calls.append(len(q)) or form(q)
+    )
+    monkeypatch.setattr(
+        topology,
+        "build_group",
+        lambda spec: RotationGroup(spec, build_group(spec).element_rows),
+    )
+    report = topology.classify(Base.SO3, GroupSpec.parse("O"), samples=50)
+    assert report.passed
+    assert calls == [24]

@@ -21,14 +21,17 @@ import pytest
 from nvalued.axioms import _paired_associativity, _paired_well_defined
 from nvalued.coset import (
     _raw_product,
+    grouped_orbits,
     identity_orbit,
     match_multisets,
     orbit_distance,
     orbit_inverse,
     orbit_product,
     project,
+    random_point,
 )
 from nvalued.quaternion import ONE, Quaternion
+from nvalued.rotgroups import catalog, same_point
 from nvalued.tolerances import TOL_AXIOM
 from nvalued.topology import singular_orbits
 
@@ -83,6 +86,29 @@ def test_inverse_on_the_singular_set(label, base):
         for values in (orbit_product(x, ix), orbit_product(ix, x)):
             nearest = min(orbit_distance(e, v) for v in values)
             assert nearest <= TOL_AXIOM, (x.rep, nearest)
+
+
+@pytest.mark.parametrize("base", ["sp1", "so3"])
+@pytest.mark.parametrize("label", [s.label for s in catalog() if s.order >= 2])
+def test_product_multiplicities_are_the_branch_data(label, base):
+    # y on an axis of stabilizer order nu has g(y) = y for nu elements g, so
+    # each value of x y repeats nu times for a generic x.  On so3 at real
+    # part 0, -y is y's other lift: when the orbit holds the antipode of the
+    # axis point, h(y) = -y for some h and the repeats pair up, 2 nu each.
+    space = make_space(label, base)
+    rng = np.random.default_rng(0)
+    for orbit in singular_orbits(space.group).orbits:
+        nu = orbit.stabilizer_order
+        for axis in map(np.array, orbit.points[:2]):
+            antipode = bool(same_point(np.array(orbit.points), -axis).any())
+            for w in (0.0, 0.6, -0.6):
+                y = project(space, Quaternion(w, *math.sqrt(1.0 - w * w) * axis))
+                want = 2 * nu if base == "so3" and w == 0.0 and antipode else nu
+                for _ in range(3):
+                    x = random_point(space, rng)
+                    counts = [c for _, c in grouped_orbits(orbit_product(x, y))]
+                    assert sum(counts) == space.n
+                    assert set(counts) == {want}, (axis, w, x.rep, counts)
 
 
 # Consecutive singular points (x, y, z) = points[i], points[i + 1],

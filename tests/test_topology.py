@@ -183,6 +183,15 @@ def test_suspension_reports_a_numpy_sample_count_as_an_int():
     assert type(report.samples) is int and report.samples == 50
 
 
+@pytest.mark.parametrize("seed", [True, 2.0, np.float64(3.0), -1], ids=repr)
+def test_suspension_needs_a_non_negative_integer_seed(seed):
+    spec = GroupSpec.parse("C3")
+    with pytest.raises(ValueError, match="check_suspension needs a non-negative"):
+        check_suspension(build_group(spec), samples=5, seed=seed)
+    with pytest.raises(ValueError, match="check_suspension needs a non-negative"):
+        classify(Base.SO3, spec, samples=5, seed=seed)
+
+
 def test_suspension_caps_the_sample_count():
     # the cap bounds the (samples x order) array; C3 keeps the refused
     # call small should the cap be missing
