@@ -135,18 +135,21 @@ def check_identity(
     """Every entry of both products with the identity class must be the
     input class itself.  The 2n raw values e x and x e of a block of trials
     are canonicalized in one kernel pass; only the orbit distance to x runs
-    once per value."""
+    once per value.  A trial's deviation is the largest of its 2n
+    distances, NaN if any of them is."""
     e = _canonical(space, np.array([ONE]))
     n = space.n
 
-    def block(rng: np.random.Generator, count: int) -> list[float]:
+    def block(rng: np.random.Generator, count: int) -> np.ndarray:
         x = _sample(space, rng, count)
         both = [_raw_product(space, e, x), _raw_product(space, x, e)]
         values = _canonical(space, np.concatenate(both, axis=1).reshape(-1, 4))
-        return [
-            max(orbit_distance(xo, v) for v in _orbits(space, row))
+        dist = [
+            orbit_distance(xo, v)
             for xo, row in zip(_orbits(space, x), values.reshape(count, 2 * n, 4))
+            for v in _orbits(space, row)
         ]
+        return np.reshape(dist, (count, 2 * n)).max(axis=1)
 
     return _run_trials(space, "identity", samples, seed, tol, 2 * n, block)
 

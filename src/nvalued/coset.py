@@ -25,7 +25,8 @@ acceptance checks and the axiom checks of a set that is not closed
 consume; on a group, the axiom checks pair raw values through its table.
 
 Internally representatives are rows of (m, 4) arrays: canonicalization,
-the product and the orbit distance each run once over a whole batch.
+the product and the orbit distance each run once over a whole batch,
+and the orbit distance of one pair has a one-pair form with the same bits.
 `Orbit` is the view of one row that the public functions take and return;
 a product returns `Orbits`, a read-only sequence over its (n, 4) array of
 representatives that boxes a value as an `Orbit` only when it is indexed.
@@ -247,7 +248,7 @@ def _canonical_block(space: CosetSpace, points: np.ndarray) -> np.ndarray:
     both = ()
     if space.base is Base.SO3:
         np.negative(q, out=q, where=q[:, :1] < 0.0)
-        both = np.flatnonzero(q[:, 0] <= EPS_POINT / 2)
+        both = (q[:, 0] <= EPS_POINT / 2).nonzero()[0]
     images = (q[:, 1:] @ space._rot_cols).reshape(m, 3, -1)
     q[:, 1:] = images[np.arange(m), :, _lexmax(images)]
     if len(both):
@@ -267,20 +268,20 @@ def _lexmax(images: np.ndarray) -> np.ndarray:
     m, c, k = images.shape
     # Every image is alive at the first coordinate, which needs no mask.
     col = images[:, 0]
-    alive = col >= col.max(axis=1, keepdims=True) - EPS_POINT
+    alive = col >= np.maximum.reduce(col, axis=1, keepdims=True) - EPS_POINT
     for coord in range(1, c):
         if np.count_nonzero(alive) == m:
             # One image survives in every row, and later coordinates keep it.
             return alive.argmax(axis=1)
         col = np.where(alive, images[:, coord], -np.inf)
-        alive &= col >= col.max(axis=1, keepdims=True) - EPS_POINT
+        alive &= col >= np.maximum.reduce(col, axis=1, keepdims=True) - EPS_POINT
 
     pick = alive.argmax(axis=1)
-    multi = np.flatnonzero(np.count_nonzero(alive, axis=1) > 1)
+    multi = (np.add.reduce(alive, axis=1) > 1).nonzero()[0]
     images_m, best = images[multi], alive[multi]
     for coord in range(c):
         col = np.where(best, images_m[:, coord], -np.inf)
-        best &= col == col.max(axis=1, keepdims=True)
+        best &= col == np.maximum.reduce(col, axis=1, keepdims=True)
     pick[multi] = k - 1 - best[:, ::-1].argmax(axis=1)
     return pick
 
@@ -303,12 +304,26 @@ def _nearest(space: CosetSpace, points: np.ndarray, values: np.ndarray) -> np.nd
 def _distances(space: CosetSpace, points: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Orbit distance from each row of `points` (or from one point, a
     (4,) array) to the orbit of the same row of `values` (or of its one
-    row), swept in blocks: the one orbit-distance kernel."""
+    row), swept in blocks: the batched orbit-distance kernel, of which
+    `_distance` is the one-pair form."""
     if len(values) <= space._distance_rows:
         return _nearest(space, points, values)
     points = np.broadcast_to(points, values.shape)
     blocks = _blocks(len(values), space._distance_rows)
     return np.concatenate([_nearest(space, points[b], values[b]) for b in blocks])
+
+
+def _distance(space: CosetSpace, point, value) -> float:
+    """Orbit distance from one point to the orbit of one value, each a
+    quaternion row ((4,) array or 4 floats): bit for bit what `_distances`
+    gives the pair, the sign of a NaN included, without its per-call batch
+    steps.  It forms the (4, k) sweep a one-row `_nearest` forms, subtracts
+    the point and squares in place, adds over the 4 coordinates, takes the
+    least from inf as `_nearest` does, and one root of that scalar."""
+    sweep = (np.array(value) @ space._canon_cols.T).reshape(4, -1)
+    sweep -= np.array(point)[:, None]
+    np.multiply(sweep, sweep, out=sweep)
+    return math.sqrt(np.minimum.reduce(np.add.reduce(sweep), initial=np.inf))
 
 
 def _distances_to_identity(space: CosetSpace, values: np.ndarray) -> np.ndarray:
@@ -351,7 +366,7 @@ def orbit_distance(x: Orbit, y: Orbit) -> float:
     """Distance between orbits: min over the orbit of y of the distance to
     the representative of x."""
     _check_space(x.space, (y.space,))
-    return float(_distances(x.space, np.array(x.rep), np.array([y.rep]))[0])
+    return _distance(x.space, x.rep, y.rep)
 
 
 def product_from_representatives(
@@ -515,7 +530,7 @@ def grouped_orbits(orbits) -> list[tuple[Orbit, int]]:
         for i in sorted(sum((bins.get(key + d, []) for d in (-1, 0, 1)), [])):
             first = groups[i][0]
             if abs(abs(first[0]) - w) <= 2.0 * EPS_POINT and (
-                _distances(space, np.array(first), np.array([row]))[0] <= EPS_POINT
+                _distance(space, first, row) <= EPS_POINT
             ):
                 groups[i][1] += 1
                 break

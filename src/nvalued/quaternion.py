@@ -124,8 +124,8 @@ def normalized_rows(q: np.ndarray) -> np.ndarray:
     of unit quaternions in the inverse check and in `corrupted_copy`, or,
     in the canonicalization kernel, a uniform draw, a conjugate or a
     product of unit quaternions."""
-    w, x, y, z = (q * q).T
-    return q / np.sqrt(w + x + y + z)[:, None]
+    sq = (q * q).T
+    return q / np.sqrt(sq[0] + sq[1] + sq[2] + sq[3])[:, None]
 
 
 # left_matrix(q)[r, c] == _LEFT_SIGN[r, c] * q[_INDEX[r, c]], and the

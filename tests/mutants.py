@@ -155,8 +155,8 @@ MUTANTS = [
     Mutant(
         "lexmax-slack-sign",
         "src/nvalued/coset.py",
-        "alive = col >= col.max(axis=1, keepdims=True) - EPS_POINT",
-        "alive = col >= col.max(axis=1, keepdims=True) + EPS_POINT",
+        "alive = col >= np.maximum.reduce(col, axis=1, keepdims=True) - EPS_POINT",
+        "alive = col >= np.maximum.reduce(col, axis=1, keepdims=True) + EPS_POINT",
         ids(
             "test_coset.py",
             "TestProject::test_batch_matches_per_point_reference[C2-sp1]",
@@ -262,9 +262,55 @@ MUTANTS = [
             "test_coset.py",
             "TestOrbitDistance::test_distances_are_the_earlier_formula_bit_for_bit[I-so3]",
             "TestOrbitDistance::test_distances_are_the_earlier_formula_bit_for_bit[C1000-so3]",
-            "TestOrbitDistance::test_symmetric",
-            "TestProduct::test_identity_collapses",
+            "TestOrbitDistance::test_orbit_distance_is_the_batched_kernel_bit_for_bit[I-so3]",
         ),
+    ),
+    Mutant(
+        "distance-reduces-images-first",
+        "src/nvalued/coset.py",
+        "return math.sqrt(np.minimum.reduce(np.add.reduce(sweep), initial=np.inf))",
+        "return math.sqrt(np.add.reduce(np.minimum.reduce(sweep, axis=1, initial=np.inf)))",
+        ids(
+            "test_coset.py",
+            "TestOrbitDistance::test_orbit_distance_is_the_batched_kernel_bit_for_bit[I-so3]",
+            "TestOrbitDistance::test_orbit_distance_is_the_batched_kernel_bit_for_bit[D500-sp1]",
+            "TestOrbitDistance::test_symmetric",
+        ),
+    ),
+    Mutant(
+        # On so3 the orbit of -p is the orbit of p: only sp1 spaces see it.
+        "distance-adds-the-point",
+        "src/nvalued/coset.py",
+        "sweep -= np.array(point)[:, None]",
+        "sweep += np.array(point)[:, None]",
+        ids(
+            "test_coset.py",
+            *(
+                f"TestOrbitDistance::test_orbit_distance_is_the_batched_kernel_bit_for_bit[{label}-sp1]"
+                for label in ("C3", "I", "D500")
+            ),
+            "TestMultisets::test_grouping_joins_the_first_group_across_bins[1.0]",
+        ),
+    ),
+    Mutant(
+        # A least over the images with no start value picks a NaN of the
+        # other sign than the batched kernel on the few images of C3.
+        "distance-least-without-start",
+        "src/nvalued/coset.py",
+        "return math.sqrt(np.minimum.reduce(np.add.reduce(sweep), initial=np.inf))",
+        "return math.sqrt(np.minimum.reduce(np.add.reduce(sweep)))",
+        ids(
+            "test_coset.py",
+            "TestOrbitDistance::test_orbit_distance_is_the_batched_kernel_bit_for_bit[C3-sp1]",
+            "TestOrbitDistance::test_orbit_distance_is_the_batched_kernel_bit_for_bit[C3-so3]",
+        ),
+    ),
+    Mutant(
+        "identity-max-drops-nan",
+        "src/nvalued/axioms.py",
+        "return np.reshape(dist, (count, 2 * n)).max(axis=1)",
+        "return [max(dist[i : i + 2 * n]) for i in range(0, len(dist), 2 * n)]",
+        ids("test_axioms.py", "test_a_nan_distance_fails_its_identity_trial[nan-after]"),
     ),
     Mutant(
         "distance-blocks-sweep-every-point",

@@ -60,6 +60,16 @@ def test_run_all_passes(label, base):
         assert r.max_deviation < 1e-8
 
 
+@pytest.mark.parametrize("label, base", [("C1000", "so3"), ("D500", "sp1")])
+def test_run_all_passes_on_a_large_group(label, base):
+    # the largest groups the CLI builds; no other test runs a check on them
+    reports = run_all(make_space(label, base), samples=3, triples=1, seed=0)
+    assert [r.axiom for r in reports] == list(axioms.AXIOM_NAMES)
+    for r in reports:
+        assert r.passed, r
+        assert r.max_deviation < 4e-15, r
+
+
 @pytest.mark.parametrize("dev", [math.nan, math.inf])
 def test_non_finite_deviation_is_a_failure(dev):
     space = make_space("C2", "sp1")
@@ -520,6 +530,27 @@ def test_identity_canonicalizes_all_2n_values_of_a_block_in_one_pass(
     monkeypatch.setattr(axioms, "orbit_distance", lambda x, v: 0.0)
     check_identity(make_space(label, base), samples)
     assert calls == [1, *values]
+
+
+@pytest.mark.parametrize("nan_first", [False, True], ids=["nan-after", "nan-first"])
+def test_a_nan_distance_fails_its_identity_trial(monkeypatch, nan_first):
+    # Each trial of C3 makes 2n = 6 distances.  Either all but the first of
+    # each trial read NaN, or only the first does: a trial's deviation is
+    # NaN either way, so every trial fails and the worst reads inf.  Python's
+    # max kept a NaN only when it came first.
+    space = make_space("C3", "sp1")
+    measure, calls = axioms.orbit_distance, []
+
+    def distance(x, v):
+        calls.append(v)
+        first = len(calls) % (2 * space.n) == 1
+        return math.nan if first == nan_first else measure(x, v)
+
+    monkeypatch.setattr(axioms, "orbit_distance", distance)
+    report = check_identity(space, 5)
+    assert len(calls) == 5 * 2 * space.n
+    assert report.failures == 5
+    assert report.max_deviation == math.inf
 
 
 def two_product_identity_report(space, samples, seed, deviations=None):

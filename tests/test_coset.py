@@ -656,7 +656,9 @@ class TestOrbitDistance:
         monkeypatch.setattr(s, "_distance_rows", m)
         assert np.array_equal(blocked, coset._distances(s, points, values))
 
-    @pytest.mark.parametrize("label, base", CATALOG_SPACES)
+    @pytest.mark.parametrize(
+        "label, base", CATALOG_SPACES + [("C1000", "so3"), ("D500", "sp1")]
+    )
     def test_orbit_distance_is_the_batched_kernel_bit_for_bit(
         self, label, base, rng
     ):
@@ -670,13 +672,28 @@ class TestOrbitDistance:
         reps = _canonical(s, rows)
         points = reps[rng.permutation(len(reps))]
         pairs = list(zip(points, reps))
-        got = [
-            orbit_distance(Orbit(s, Quaternion(*p)), Orbit(s, Quaternion(*v)))
-            for p, v in pairs
-        ]
+        # and from, to and between a NaN row and a row with an inf
+        odd = reps[:2].copy()
+        odd[0] = np.nan
+        odd[1, 3] = np.inf
+        odd_pairs = [(a, b) for a in (*odd, reps[2]) for b in (*odd, reps[3])][:-1]
+
+        def one_pair(p, v):
+            return orbit_distance(Orbit(s, Quaternion(*p)), Orbit(s, Quaternion(*v)))
+
+        got = [one_pair(p, v) for p, v in pairs]
+        assert all(type(d) is float for d in got)
         # the (4,) and the (m, 4) point form of a one-row sweep
         assert got == [coset._distances(s, p, v[None])[0] for p, v in pairs]
         assert got == [coset._distances(s, p[None], v[None])[0] for p, v in pairs]
+        with np.errstate(invalid="ignore"):
+            odd_got = np.array([one_pair(p, v) for p, v in odd_pairs])
+            odd_want = np.array(
+                [coset._distances(s, p, v[None])[0] for p, v in odd_pairs]
+            )
+        assert not np.isfinite(odd_got).any()
+        assert np.array_equal(odd_got, odd_want, equal_nan=True)
+        assert np.array_equal(np.signbit(odd_got), np.signbit(odd_want))
         # a sweep of many rows: one point broadcasts as its (m, 4) stack does
         for p in points[:4]:
             stack = np.tile(p, (len(reps), 1))
@@ -895,10 +912,18 @@ class TestMultisets:
 
     @pytest.mark.parametrize("base", ["sp1", "so3"])
     @pytest.mark.parametrize("label", ["C1000", "D500", "I"])
-    def test_grouping_equals_the_oracle_on_large_products(self, label, base, rng):
+    def test_grouping_equals_the_oracle_on_large_products(
+        self, label, base, rng, monkeypatch
+    ):
         # The first pair gives values of pairwise equal |w| on C1000 and
-        # D500, so most of them are measured against a group.
+        # D500, so most of them are measured against a group, by the
+        # one-pair distance; the oracle measures by the batched kernel.
         s = make_space(label, base)
+        calls = []
+        distance = coset._distance
+        monkeypatch.setattr(
+            coset, "_distance", lambda *args: calls.append(1) or distance(*args)
+        )
         a, b = random_units(rng, 2)
         for p, q in (((0.6, 0.8, 0.0, 0.0), (0.0, 0.0, 0.6, 0.8)), (a, b)):
             x, y = project(s, Quaternion(*p)), project(s, Quaternion(*q))
@@ -906,6 +931,7 @@ class TestMultisets:
             for values in (product, Orbits(s, near_half_way(rng, product.reps))):
                 got = [(o.rep, m) for o, m in grouped_orbits(values)]
                 assert got == [(o.rep, m) for o, m in grouped_orbits_oracle(values)]
+        assert calls
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_grouping_joins_the_first_group_across_bins(self, sign):
